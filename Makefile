@@ -4,7 +4,7 @@ GO ?= go
 # again under the race detector in `make verify`.
 RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve
 
-.PHONY: build test vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean bench-json benchdiff
+.PHONY: build test vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean benchmark benchmark-aa
 
 build:
 	$(GO) build ./...
@@ -115,21 +115,15 @@ serve-obs-smoke:
 	kill $$pid 2>/dev/null; rm -f mwserved.obs; \
 	exit $$status
 
-# Benchmark-regression harness (§V-A gate): measures the LJ kernels, whole
-# engine steps, per-phase latency percentiles and the mwserved tail-latency
-# sweep into the next free BENCH_<n>.json. Compare against the committed
-# baseline with `make benchdiff NEW=BENCH_3.json [TOL=0.15]`.
-bench-json:
-	$(GO) run ./cmd/mwbench bench-json
+# The end-to-end benchmark declared in BENCHMARK.json: all six workloads,
+# one child process each. Workloads, metrics and flags: benchmark/README.md.
+benchmark:
+	$(GO) run ./benchmark
 
-# BENCH_3.json is the baseline with the serve attribution-overhead rows
-# (serve/*/attr-{off,on}/step) and oversub retry-after; BENCH_2 added the
-# cluster-pair rung (kernel/lj-cluster-* rows, step/*/cluster, the cluster
-# phase section), BENCH_1 was the first with serve/* rows, and BENCH_0
-# predates the service (kernel-history record).
-TOL ?= 0.15
-benchdiff:
-	$(GO) run ./cmd/mwbench benchdiff -base BENCH_3.json -new $(NEW) -tol $(TOL)
+# A/A noise check: the untraced set twice in A B B A order, held to the
+# BENCHMARK.json bounds; exits non-zero on a breach. See benchmark/README.md.
+benchmark-aa:
+	$(GO) run ./benchmark -aa
 
 # The full correctness gate — what CI runs. See README.md §Verification.
 verify: lint build test race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke

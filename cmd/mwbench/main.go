@@ -28,10 +28,10 @@
 //	scaling             engine complexity: O(N) LJ vs O(N²) Coulomb
 //	pme                 extension direct O(N²) vs PME crossover
 //	ablation            design-choice ablations
-//	bench-json          benchmark-regression harness: kernels, engine steps,
-//	                    phase percentiles → BENCH_<n>.json
-//	benchdiff           compare two bench-json reports within a tolerance
 //	all                 run everything above in order
+//
+// The end-to-end benchmark with per-layer attribution is a separate
+// program: go run ./benchmark (see benchmark/README.md).
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"io"
 	"os"
 
-	"mw/internal/bench"
 	"mw/internal/experiments"
 )
 
@@ -136,69 +135,8 @@ func observerServe(args []string) (string, error) {
 	return r.Report, nil
 }
 
-// benchJSON runs the benchmark-regression harness and writes the JSON
-// report; -o "" picks the next free BENCH_<n>.json in the current directory.
-func benchJSON(args []string) (string, error) {
-	fs := flag.NewFlagSet("bench-json", flag.ContinueOnError)
-	out := fs.String("o", "", "output path (default: next free BENCH_<n>.json)")
-	benchtime := fs.Duration("benchtime", 0, "measuring window per benchmark (0 = 500ms)")
-	steps := fs.Int("steps", 0, "steps for the phase-percentile runs (0 = 150)")
-	serveSessions := fs.Int("serve-sessions", 0, "tenant sessions for the serve sweep (0 = 1024)")
-	skipServe := fs.Bool("skip-serve", false, "omit the service tail-latency section")
-	if err := fs.Parse(args); err != nil {
-		return "", errBadFlags
-	}
-	rep, err := bench.Run(bench.Options{
-		BenchTime:     *benchtime,
-		Steps:         *steps,
-		ServeSessions: *serveSessions,
-		SkipServe:     *skipServe,
-	})
-	if err != nil {
-		return "", err
-	}
-	path := *out
-	if path == "" {
-		path = bench.NextPath(".")
-	}
-	if err := rep.WriteFile(path); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("wrote %s\n%s", path, rep.Summary()), nil
-}
-
-// benchDiff compares two bench-json reports; a regression beyond -tol exits
-// non-zero (the CI gate).
-func benchDiff(args []string) (string, error) {
-	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	base := fs.String("base", "BENCH_0.json", "baseline report")
-	cur := fs.String("new", "", "report to judge (required)")
-	tol := fs.Float64("tol", 0.15, "allowed fractional slowdown before failing")
-	if err := fs.Parse(args); err != nil {
-		return "", errBadFlags
-	}
-	if *cur == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -new is required")
-		return "", errBadFlags
-	}
-	b, err := bench.ReadFile(*base)
-	if err != nil {
-		return "", err
-	}
-	c, err := bench.ReadFile(*cur)
-	if err != nil {
-		return "", err
-	}
-	report, _, err := bench.Diff(b, c, *tol)
-	return report, err
-}
-
 func experiment(name string, args []string) (string, error) {
 	switch name {
-	case "bench-json":
-		return benchJSON(args)
-	case "benchdiff":
-		return benchDiff(args)
 	case "table1":
 		return experiments.Table1(), nil
 	case "table2":
@@ -290,5 +228,5 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage: mwbench <experiment>
 experiments: table1 table2 table3 fig1 fig1-native fig2 observer
              observer-native observer-serve sampling threadview imbalance
-             packing pollution scaling pme ablation bench-json benchdiff all`)
+             packing pollution scaling pme ablation all`)
 }

@@ -32,17 +32,21 @@ func TestTable2Verbose(t *testing.T) {
 	}
 }
 
+// bench-json and benchdiff are not experiments: the benchmark is the
+// separate program ./benchmark.
 func TestUnknownExperimentExits2(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := run(&out, &errw, "frobnicate", nil); code != 2 {
-		t.Errorf("exit %d, want 2", code)
-	}
-	s := errw.String()
-	if !strings.Contains(s, "frobnicate") || !strings.Contains(s, "usage:") {
-		t.Errorf("stderr should name the experiment and show usage:\n%s", s)
-	}
-	if out.Len() != 0 {
-		t.Errorf("stdout should stay clean on error: %q", out.String())
+	for _, name := range []string{"frobnicate", "bench-json", "benchdiff"} {
+		var out, errw bytes.Buffer
+		if code := run(&out, &errw, name, nil); code != 2 {
+			t.Errorf("%s: exit %d, want 2", name, code)
+		}
+		s := errw.String()
+		if !strings.Contains(s, name) || !strings.Contains(s, "usage:") {
+			t.Errorf("%s: stderr should name the experiment and show usage:\n%s", name, s)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: stdout should stay clean on error: %q", name, out.String())
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 //     instructions attributed to hot-loop lines (a runtime call in the pair
 //     loop means a bounds check, a heap operation, or a de-intrinsified
 //     math call — all regressions);
-//   - a benchdiff-style drift check of the per-function instruction mix
+//   - a relative drift check (default ±25% per instruction class, never
+//     tighter than ±2 instructions) of the per-function instruction mix
 //     against the checked-in vecasm.baseline, so an inlining or codegen
 //     regression that reshapes a kernel fails CI even when the hard
 //     invariants still hold.
@@ -422,8 +423,9 @@ func (g *VecasmGate) Check(update bool) (*VecasmReport, error) {
 	return rep, nil
 }
 
-// drifted applies the benchdiff-style tolerance: small counts get an
-// absolute slack of 2 so ±25% of a count of 4 does not trip on ±1.
+// drifted reports whether got differs from want by more than the relative
+// tolerance tol (a fraction of want); small counts get an absolute slack of
+// 2 so ±25% of a count of 4 does not trip on ±1.
 func drifted(got, want int, tol float64) bool {
 	diff := got - want
 	if diff < 0 {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunSweep drives a full sweep against an in-process server and
-// validates the report — the same path mwload and the bench serve rows
-// use.
+// validates the report — the same path mwload and the observer-serve
+// experiment use.
 func TestRunSweep(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	rep, err := RunSweep(ts.URL, SweepOptions{
