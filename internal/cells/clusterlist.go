@@ -93,8 +93,8 @@ type ClusterList struct {
 
 // BuildClusterRange rebuilds the cluster-pair list for atoms [lo, hi) from
 // the grid's current cell assignment (Assign must have run). Pairs beyond
-// rng never enter the list; pairs excluded by topology or between two
-// fixed atoms are masked out here so kernels need no per-pair checks.
+// rng never enter the list, and keepInteracting drops pairs excluded by
+// topology or between two fixed atoms, so kernels need no per-pair checks.
 //
 //mw:hotpath
 func (g *Grid) BuildClusterRange(s *atom.System, rng float64, lo, hi int, cl *ClusterList) {
@@ -122,7 +122,7 @@ func (g *Grid) BuildClusterRange(s *atom.System, rng float64, lo, hi int, cl *Cl
 
 	nelem := len(s.Elements)
 	mixed := MixedK(nelem)
-	elem, fixed := s.Elem, s.Fixed
+	elem := s.Elem
 	for ci := cl.CiLo; ci < cl.CiHi; ci++ {
 		cl.Offsets[ci-cl.CiLo] = int32(len(cl.Entries))
 		rowLo, rowHi := ci*ClusterSize, ci*ClusterSize+ClusterSize
@@ -133,17 +133,10 @@ func (g *Grid) BuildClusterRange(s *atom.System, rng float64, lo, hi int, cl *Cl
 			rowHi = hi
 		}
 		for i := rowLo; i < rowHi; i++ {
-			cl.buf = g.AppendNeighbors(s, i, rng, cl.buf[:0])
+			cl.buf = keepInteracting(s, i, g.AppendNeighbors(s, i, rng, cl.buf[:0]), 0)
 			a := i - ci*ClusterSize
-			fixedI := fixed[i]
 			ki := int(elem[i]) * nelem
 			for _, j := range cl.buf {
-				if fixedI && fixed[j] {
-					continue
-				}
-				if s.Excl.Excluded(int32(i), j) {
-					continue
-				}
 				cj := int(j) / ClusterSize
 				b := int(j) - cj*ClusterSize
 				k := uint16(ki + int(elem[j]))

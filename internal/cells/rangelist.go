@@ -17,8 +17,38 @@ type RangeList struct {
 	Neighbors []int32
 }
 
-// BuildRange fills rl with the neighbors (j > i, within rng) of atoms
-// [lo, hi) using the already-Assigned grid. Storage is reused across calls.
+// keepInteracting is the one place the lists decide which pairs interact:
+// it drops from nb[from:], atom i's just-appended neighbors, every pair of
+// two fixed atoms (paper §III) or excluded by topology, keeping list order,
+// so no kernel needs per-pair checks. A mobile atom of a system without
+// exclusions (all of Al-1000 and salt) returns at once.
+//
+//mw:hotpath
+func keepInteracting(s *atom.System, i int, nb []int32, from int) []int32 {
+	fixed := s.Fixed
+	if uint(i) >= uint(len(fixed)) || uint(from) > uint(len(nb)) {
+		return nb // bounds-check elimination guard; builders never hit it
+	}
+	fixedI := fixed[i]
+	if !fixedI && s.Excl == nil {
+		return nb
+	}
+	kept := nb[:from]
+	for _, j := range nb[from:] {
+		if jj := int(j); fixedI && uint(jj) < uint(len(fixed)) && fixed[jj] {
+			continue
+		}
+		if s.Excl.Excluded(int32(i), j) {
+			continue
+		}
+		kept = append(kept, j) // in place: kept never outgrows nb
+	}
+	return kept
+}
+
+// BuildRange fills rl with the interacting neighbors (j > i, within rng) of
+// atoms [lo, hi) using the already-Assigned grid. Storage is reused across
+// calls.
 //
 //mw:hotpath
 func (g *Grid) BuildRange(s *atom.System, rng float64, lo, hi int, rl *RangeList) {
@@ -30,18 +60,19 @@ func (g *Grid) BuildRange(s *atom.System, rng float64, lo, hi int, rl *RangeList
 	rl.Offsets = rl.Offsets[:n+1]
 	rl.Neighbors = rl.Neighbors[:0]
 	for i := lo; i < hi; i++ {
-		rl.Offsets[i-lo] = int32(len(rl.Neighbors))
-		rl.Neighbors = g.AppendNeighbors(s, i, rng, rl.Neighbors)
+		start := len(rl.Neighbors)
+		rl.Offsets[i-lo] = int32(start)
+		rl.Neighbors = keepInteracting(s, i, g.AppendNeighbors(s, i, rng, rl.Neighbors), start)
 	}
 	rl.Offsets[n] = int32(len(rl.Neighbors))
 }
 
-// BuildRangeFull fills rl with ALL neighbors (any j ≠ i within rng) of atoms
-// [lo, hi) — the full-list alternative to Molecular Workbench's half
-// pairing. Every pair appears twice (once per endpoint), so forces computed
-// from it must not be mirrored to f[j]; the benefit is a perfectly uniform
-// per-atom load shape, the ablation DESIGN.md calls out against §II-B's
-// front-loaded half lists.
+// BuildRangeFull fills rl with ALL interacting neighbors (any j ≠ i within
+// rng) of atoms [lo, hi) — the full-list alternative to Molecular
+// Workbench's half pairing. Every pair appears twice (once per endpoint),
+// so forces computed from it must not be mirrored to f[j]; the benefit is a
+// perfectly uniform per-atom load shape, the ablation DESIGN.md calls out
+// against §II-B's front-loaded half lists.
 //
 //mw:hotpath
 func (g *Grid) BuildRangeFull(s *atom.System, rng float64, lo, hi int, rl *RangeList) {
@@ -54,7 +85,8 @@ func (g *Grid) BuildRangeFull(s *atom.System, rng float64, lo, hi int, rl *Range
 	rl.Neighbors = rl.Neighbors[:0]
 	r2 := rng * rng
 	for i := lo; i < hi; i++ {
-		rl.Offsets[i-lo] = int32(len(rl.Neighbors))
+		start := len(rl.Neighbors)
+		rl.Offsets[i-lo] = int32(start)
 		pi := s.Pos[i]
 		cx := g.coord(pi.X, g.inv.X, g.Dims[0])
 		cy := g.coord(pi.Y, g.inv.Y, g.Dims[1])
@@ -87,6 +119,7 @@ func (g *Grid) BuildRangeFull(s *atom.System, rng float64, lo, hi int, rl *Range
 				}
 			}
 		}
+		rl.Neighbors = keepInteracting(s, i, rl.Neighbors, start)
 	}
 	rl.Offsets[n] = int32(len(rl.Neighbors))
 }

@@ -3,6 +3,7 @@ package cells
 import (
 	"testing"
 
+	"mw/internal/atom"
 	"mw/internal/vec"
 )
 
@@ -128,4 +129,56 @@ func TestNeighborListRectangularBox(t *testing.T) {
 	got := pairsFromList(nl, s.N())
 	want := BruteForcePairs(s, 3.5)
 	assertPairsEqual(t, got, want)
+}
+
+// TestBuildRangeDropsNonInteractingPairs pins the list contract: the
+// half and full range lists hold exactly the interacting pairs within range
+// (no fixed–fixed, no topology-excluded pair), the full list each one twice.
+func TestBuildRangeDropsNonInteractingPairs(t *testing.T) {
+	const rng = 3.0
+	for _, periodic := range []bool{false, true} {
+		s := clusterTestSystem(153, 12, periodic, 42)
+		s.Bonds = append(s.Bonds, atom.Bond{I: 0, J: 1}, atom.Bond{I: 10, J: 11})
+		s.BuildExclusions()
+		g := NewGrid(s.Box, rng)
+		g.Assign(s)
+		want := expectedPairs(s, rng)
+		for _, full := range []bool{false, true} {
+			var rl RangeList
+			if full {
+				g.BuildRangeFull(s, rng, 0, s.N(), &rl)
+			} else {
+				g.BuildRange(s, rng, 0, s.N(), &rl)
+			}
+			got := map[int64]int{}
+			for i := 0; i < s.N(); i++ {
+				for _, j := range rl.Of(i) {
+					a, b := int32(i), j
+					if a > b {
+						a, b = b, a
+					}
+					got[pairKey(a, b)]++
+				}
+			}
+			copies := 1
+			if full {
+				copies = 2
+			}
+			for k := range want {
+				if got[k] != copies {
+					t.Errorf("periodic=%v full=%v: pair (%d,%d) listed %d times, want %d",
+						periodic, full, k>>32, int32(k), got[k], copies)
+				}
+			}
+			for k := range got {
+				if !want[k] {
+					t.Errorf("periodic=%v full=%v: non-interacting pair (%d,%d) listed",
+						periodic, full, k>>32, int32(k))
+				}
+			}
+			if rl.Len() != copies*len(want) {
+				t.Errorf("periodic=%v full=%v: Len = %d, want %d", periodic, full, rl.Len(), copies*len(want))
+			}
+		}
+	}
 }

@@ -231,21 +231,22 @@ type Config struct {
 	// walks nearly contiguous memory. An inverse index map is maintained;
 	// Snapshot, SystemInOriginalOrder and OriginalIDs report original atom
 	// IDs, so trajectories and the verify matrix are unaffected by the
-	// relabeling. Off by default (golden trajectories are bit-identical
-	// with the feature off). With Reorder on, atom chunk boundaries are
-	// aligned to Morton cell blocks, so guided/dynamic partitions deal out
-	// contiguous blocks of cells in decreasing batches (the hybrid
-	// cell-task scheme of Mangiardi & Meyer, arXiv:1611.00075).
+	// relabeling. Reorder also selects the fast LJ kernels, for any system
+	// (ulp-level differences, bounded by the differential matrix); it is off
+	// by default, so golden trajectories stay bit-identical. With Reorder on,
+	// atom chunk boundaries are aligned to Morton cell blocks, so
+	// guided/dynamic partitions deal out contiguous blocks of cells in
+	// decreasing batches (the hybrid cell-task scheme of Mangiardi & Meyer,
+	// arXiv:1611.00075).
 	Reorder bool
 	// Cluster selects the Verlet cluster-pair (MxN) neighbor format for the
 	// LJ cutoff loop: atoms grouped into clusters of cells.ClusterSize with
 	// per-cluster-pair interaction masks, the GROMACS-style layout that
 	// keeps SIMD lanes full under Al-1000's frequent rebuilds. On its own it
-	// runs the bitwise-deterministic reference cluster kernel; combined with
-	// the opt-in Reorder hot path the engine auto-picks the fast variant and,
-	// on capable amd64 hardware with a non-periodic box, the packed AVX2
-	// kernel. Requires half pair lists (the cluster masks encode Newton-3
-	// half-pair ownership).
+	// runs the bitwise-deterministic reference cluster kernel; with Reorder
+	// it runs the fast variant or, on capable amd64 hardware with a
+	// non-periodic box, the packed AVX2 kernel. Requires half pair lists
+	// (the cluster masks encode Newton-3 half-pair ownership).
 	Cluster bool
 	// Integrator selects the predictor-corrector scheme (default velocity
 	// Verlet).

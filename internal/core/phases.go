@@ -377,21 +377,14 @@ func (sim *Simulation) forcePhase() {
 				if rebuild {
 					sim.grid.BuildRangeFull(s, rng, lo, hi, rl)
 				}
-				if sim.noExcl {
-					pe = sim.lj.AccumulateRangeListFullNoExcl(s, rl, f)
-				} else {
-					pe = sim.lj.AccumulateRangeListFull(s, rl, f)
-				}
+				pe = sim.lj.AccumulateRangeListFull(s, rl, f)
 			} else {
 				if rebuild {
 					sim.grid.BuildRange(s, rng, lo, hi, rl)
 				}
-				switch {
-				case sim.fastLJ:
+				if sim.Cfg.Reorder {
 					pe = sim.lj.AccumulateRangeListFast(s, rl, f)
-				case sim.noExcl:
-					pe = sim.lj.AccumulateRangeListNoExcl(s, rl, f)
-				default:
+				} else {
 					pe = sim.lj.AccumulateRangeList(s, rl, f)
 				}
 			}

@@ -29,20 +29,11 @@ type Simulation struct {
 	grid *cells.Grid
 
 	charged []int32
-	// noExcl selects the exclusion-free LJ kernels: true when the system has
-	// no excluded pairs, so the per-pair ExclusionSet call can be dropped
-	// from the innermost loop. Those kernels are bitwise-identical to the
-	// reference math. fastLJ additionally selects the single-reciprocal
-	// half-list kernel, whose FP association differs at the ulp level — it is
-	// gated on the opt-in reorder hot path (plus no exclusions and no fixed
-	// atoms) so default-path golden trajectories never move.
-	noExcl bool
-	fastLJ bool
 
 	// Cluster-rung state (Cfg.Cluster): per-chunk cluster-pair lists, and —
 	// when the packed kernel is selected — the shared padded SoA coordinate
 	// copy (repacked serially every step) plus per-chunk SIMD force scratch.
-	// clusterFast/clusterSIMD mirror the fastLJ ladder: reference kernel by
+	// clusterFast/clusterSIMD follow the half-list rule: reference kernel by
 	// default, fast variants only on the opt-in reorder hot path.
 	clusterLists []cells.ClusterList
 	clCoords     *cells.ClusterCoords
@@ -154,16 +145,6 @@ func New(sys *atom.System, cfg Config) (*Simulation, error) {
 		coul:    forces.Coulomb{Softening: cfg.CoulombSoftening},
 		grid:    cells.NewGrid(sys.Box, rng),
 		charged: sys.ChargedIndices(),
-		noExcl:  sys.Excl.Len() == 0,
-	}
-	if cfg.Reorder && sim.noExcl {
-		sim.fastLJ = true
-		for _, fx := range sys.Fixed {
-			if fx {
-				sim.fastLJ = false
-				break
-			}
-		}
 	}
 	n := sys.N()
 	w := cfg.Threads
@@ -359,9 +340,10 @@ func (sim *Simulation) Steals() []int64 {
 	return sim.stealing.Steals()
 }
 
-// LJPairs returns the number of stored LJ half pairs. Under Cfg.Cluster the
-// pairs live in the cluster lists as mask bits rather than in ljLists, so
-// the count comes from there.
+// LJPairs returns the number of stored LJ pairs (both copies under
+// FullLists). Every format stores only interacting pairs. Under Cfg.Cluster
+// the pairs live in the cluster lists as mask bits rather than in ljLists,
+// so the count comes from there.
 func (sim *Simulation) LJPairs() int {
 	n := 0
 	if sim.Cfg.Cluster {

@@ -106,13 +106,32 @@ func Imbalance(steps int) (*ImbalanceResult, error) {
 	return res, nil
 }
 
-// staticWorkTable computes the host-independent work distribution: how many
-// pairs each of 4 workers owns under block vs cyclic partitioning.
+// staticRow is one row of the host-independent work distribution: the
+// pairs each of 4 workers owns under one partitioning of one benchmark.
+type staticRow struct {
+	name  string
+	pairs int
+	part  core.Partition
+	loads []float64
+}
+
 func staticWorkTable() string {
-	const threads = 4
-	const chunk = 64
 	t := report.NewTable("Static work distribution (pairs owned per worker, host-independent)",
 		"Benchmark", "Pairs", "Partition", "w0", "w1", "w2", "w3", "Imbalance")
+	for _, r := range staticWorkRows() {
+		t.AddRow(r.name, r.pairs, r.part.String(),
+			int(r.loads[0]), int(r.loads[1]), int(r.loads[2]), int(r.loads[3]),
+			stats.Imbalance(r.loads))
+	}
+	return t.String()
+}
+
+// staticWorkRows computes the host-independent work distribution: how many
+// pairs each of 4 workers owns under block vs cyclic partitioning.
+func staticWorkRows() []staticRow {
+	const threads = 4
+	const chunk = 64
+	var rows []staticRow
 	add := func(name string, perChunk []int, totalPairs int) {
 		nchunks := len(perChunk)
 		for _, part := range []core.Partition{core.PartitionBlock, core.PartitionCyclic} {
@@ -129,9 +148,7 @@ func staticWorkTable() string {
 				}
 				loads[w] += float64(pairs)
 			}
-			t.AddRow(name, totalPairs, part.String(),
-				int(loads[0]), int(loads[1]), int(loads[2]), int(loads[3]),
-				stats.Imbalance(loads))
+			rows = append(rows, staticRow{name, totalPairs, part, loads})
 		}
 	}
 
@@ -174,7 +191,7 @@ func staticWorkTable() string {
 		totalAl += pairs
 	}
 	add("Al-1000 (LJ)", alChunks, totalAl)
-	return t.String()
+	return rows
 }
 
 // engineTimelineDemo is used by tests: a tiny run that exercises Recorder.

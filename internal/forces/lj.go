@@ -107,7 +107,9 @@ func NewLJ(elements []atom.Element, cutoff float64) *LJ {
 //
 // Pairs of two fixed atoms are skipped: the nanocar's immovable gold
 // platform atoms do not interact with one another (paper §III), which is
-// what lowers that benchmark's effective atom count.
+// what lowers that benchmark's effective atom count; excluded pairs are
+// skipped too. The range-list builders drop both at build time instead, so
+// tests use this per-pair-checking kernel as their independent oracle.
 //
 //mw:hotpath
 func (lj *LJ) AccumulateRange(s *atom.System, nl *cells.NeighborList, lo, hi int, f []vec.Vec3) float64 {
@@ -175,7 +177,8 @@ func (lj *LJ) Accumulate(s *atom.System, nl *cells.NeighborList, f []vec.Vec3) f
 
 // AccumulateRangeList adds LJ forces for all pairs held by a per-chunk
 // RangeList into f and returns their potential energy. This is the fused
-// phase-3+4 fast path of the parallel engine.
+// phase-3+4 fast path of the parallel engine. The builder has already
+// dropped excluded and fixed–fixed pairs.
 //
 //mw:hotpath
 func (lj *LJ) AccumulateRangeList(s *atom.System, rl *cells.RangeList, f []vec.Vec3) float64 {
@@ -183,7 +186,7 @@ func (lj *LJ) AccumulateRangeList(s *atom.System, rl *cells.RangeList, f []vec.V
 	c2 := lj.Cutoff * lj.Cutoff
 	box := s.Box
 	n := len(f)
-	pos, elem, fixed := s.Pos[:n], s.Elem[:n], s.Fixed[:n]
+	pos, elem := s.Pos[:n], s.Elem[:n]
 	sig2 := lj.sigma2
 	m := len(sig2)
 	epsT, shiftT := lj.eps[:m], lj.shift[:m]
@@ -195,17 +198,10 @@ func (lj *LJ) AccumulateRangeList(s *atom.System, rl *cells.RangeList, f []vec.V
 		pi := pos[i]
 		ei := int(elem[i])
 		fi := f[i]
-		fixedI := fixed[i]
 		for _, j := range rl.Of(i) {
 			jj := int(j)
 			if uint(jj) >= uint(n) {
 				continue // corrupt neighbor entry; valid lists never hit this
-			}
-			if fixedI && fixed[jj] {
-				continue
-			}
-			if s.Excl.Excluded(int32(i), j) {
-				continue
 			}
 			d := box.MinImage(pos[jj].Sub(pi))
 			r2 := d.Norm2()
@@ -230,74 +226,15 @@ func (lj *LJ) AccumulateRangeList(s *atom.System, rl *cells.RangeList, f []vec.V
 	return pe
 }
 
-// AccumulateRangeListNoExcl is AccumulateRangeList specialized for systems
-// with no exclusion pairs (salt and Al-1000: no bonded topology, so every
-// neighbor pair interacts). Dropping the per-pair ExclusionSet call — a
-// non-inlinable function with a nil check and a slice walk — from the
-// innermost loop is a measurable win on exactly the rebuild-heavy LJ
-// workload the paper profiles; combined with Morton reordering this is the
-// engine's fastest symmetric (Newton-3) path. The engine selects it
-// automatically; callers may use it directly only when Excl.Len() == 0.
-//
-//mw:hotpath
-func (lj *LJ) AccumulateRangeListNoExcl(s *atom.System, rl *cells.RangeList, f []vec.Vec3) float64 {
-	var pe float64
-	c2 := lj.Cutoff * lj.Cutoff
-	box := s.Box
-	n := len(f)
-	pos, elem, fixed := s.Pos[:n], s.Elem[:n], s.Fixed[:n]
-	sig2 := lj.sigma2
-	m := len(sig2)
-	epsT, shiftT := lj.eps[:m], lj.shift[:m]
-	lo, hi := rl.Lo, rl.Hi
-	if lo < 0 || hi > n {
-		panic("forces: LJ range outside force array")
-	}
-	for i := lo; i < hi; i++ {
-		pi := pos[i]
-		ei := int(elem[i])
-		fi := f[i]
-		fixedI := fixed[i]
-		for _, j := range rl.Of(i) {
-			jj := int(j)
-			if uint(jj) >= uint(n) {
-				continue // corrupt neighbor entry; valid lists never hit this
-			}
-			if fixedI && fixed[jj] {
-				continue
-			}
-			d := box.MinImage(pos[jj].Sub(pi))
-			r2 := d.Norm2()
-			if r2 >= c2 || r2 == 0 {
-				continue
-			}
-			k := ei*lj.nelem + int(elem[jj])
-			if uint(k) >= uint(m) {
-				continue // element id outside the pair table
-			}
-			sr2 := sig2[k] / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			eps := epsT[k]
-			pe += 4*eps*(sr12-sr6) - shiftT[k]
-			fs := 24 * eps * (2*sr12 - sr6) / r2
-			fi = fi.AddScaled(-fs, d)
-			f[jj] = f[jj].AddScaled(fs, d)
-		}
-		f[i] = fi
-	}
-	return pe
-}
-
-// AccumulateRangeListFast is the cell-ordered hot-path kernel: exclusion
-// check and fixed-pair check dropped, and the two per-pair divisions fused
-// into one reciprocal (sr2 and fs both multiply by 1/r2). The reciprocal
-// changes floating-point association at the ulp level, so unlike the NoExcl
-// kernels this one is NOT bitwise-identical to the reference path — the
-// engine selects it only when the reorder hot path is explicitly enabled
-// (Cfg.Reorder), where the differential matrix bounds the deviation, never
-// on the default path that golden trajectories pin. Preconditions:
-// Excl.Len() == 0 and no fixed atoms.
+// AccumulateRangeListFast is the cell-ordered hot-path kernel: the two
+// per-pair divisions fused into one reciprocal (sr2 and fs both multiply by
+// 1/r2) and the minimum-image wrap inlined. The reciprocal changes
+// floating-point association at the ulp level, so unlike
+// AccumulateRangeList this kernel is NOT bitwise-identical to the reference
+// path — the engine selects it only when the reorder hot path is explicitly
+// enabled (Cfg.Reorder), where the differential matrix bounds the
+// deviation, never on the default path that golden trajectories pin. It
+// takes any list the builders produce.
 //
 //mw:hotpath
 func (lj *LJ) AccumulateRangeListFast(s *atom.System, rl *cells.RangeList, f []vec.Vec3) float64 {
@@ -361,59 +298,6 @@ func (lj *LJ) AccumulateRangeListFast(s *atom.System, rl *cells.RangeList, f []v
 	return pe
 }
 
-// AccumulateRangeListFullNoExcl is the full-list analogue of
-// AccumulateRangeListNoExcl: no mirrored write, halved pair energy, no
-// exclusion check. Valid only when Excl.Len() == 0.
-//
-//mw:hotpath
-func (lj *LJ) AccumulateRangeListFullNoExcl(s *atom.System, rl *cells.RangeList, f []vec.Vec3) float64 {
-	var pe float64
-	c2 := lj.Cutoff * lj.Cutoff
-	box := s.Box
-	n := len(f)
-	pos, elem, fixed := s.Pos[:n], s.Elem[:n], s.Fixed[:n]
-	sig2 := lj.sigma2
-	m := len(sig2)
-	epsT, shiftT := lj.eps[:m], lj.shift[:m]
-	lo, hi := rl.Lo, rl.Hi
-	if lo < 0 || hi > n {
-		panic("forces: LJ range outside force array")
-	}
-	for i := lo; i < hi; i++ {
-		pi := pos[i]
-		ei := int(elem[i])
-		fi := f[i]
-		fixedI := fixed[i]
-		for _, j := range rl.Of(i) {
-			jj := int(j)
-			if uint(jj) >= uint(n) {
-				continue // corrupt neighbor entry; valid lists never hit this
-			}
-			if fixedI && fixed[jj] {
-				continue
-			}
-			d := box.MinImage(pos[jj].Sub(pi))
-			r2 := d.Norm2()
-			if r2 >= c2 || r2 == 0 {
-				continue
-			}
-			k := ei*lj.nelem + int(elem[jj])
-			if uint(k) >= uint(m) {
-				continue // element id outside the pair table
-			}
-			sr2 := sig2[k] / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			eps := epsT[k]
-			pe += 0.5 * (4*eps*(sr12-sr6) - shiftT[k])
-			fs := 24 * eps * (2*sr12 - sr6) / r2
-			fi = fi.AddScaled(-fs, d)
-		}
-		f[i] = fi
-	}
-	return pe
-}
-
 // AccumulateRangeListFull adds LJ forces from a FULL range list (built by
 // Grid.BuildRangeFull: every pair appears under both endpoints). Force is
 // added only to the owning atom i — no mirrored write — and each pair's
@@ -427,7 +311,7 @@ func (lj *LJ) AccumulateRangeListFull(s *atom.System, rl *cells.RangeList, f []v
 	c2 := lj.Cutoff * lj.Cutoff
 	box := s.Box
 	n := len(f)
-	pos, elem, fixed := s.Pos[:n], s.Elem[:n], s.Fixed[:n]
+	pos, elem := s.Pos[:n], s.Elem[:n]
 	sig2 := lj.sigma2
 	m := len(sig2)
 	epsT, shiftT := lj.eps[:m], lj.shift[:m]
@@ -439,17 +323,10 @@ func (lj *LJ) AccumulateRangeListFull(s *atom.System, rl *cells.RangeList, f []v
 		pi := pos[i]
 		ei := int(elem[i])
 		fi := f[i]
-		fixedI := fixed[i]
 		for _, j := range rl.Of(i) {
 			jj := int(j)
 			if uint(jj) >= uint(n) {
 				continue // corrupt neighbor entry; valid lists never hit this
-			}
-			if fixedI && fixed[jj] {
-				continue
-			}
-			if s.Excl.Excluded(int32(i), j) {
-				continue
 			}
 			d := box.MinImage(pos[jj].Sub(pi))
 			r2 := d.Norm2()

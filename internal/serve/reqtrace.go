@@ -46,14 +46,14 @@ type RequestTrace struct {
 	BatchSize int    `json:"batch_size,omitempty"`
 	Status    int    `json:"status"`
 
-	StartUS     int64 `json:"start_us"`               // handler entry
-	EnqueueUS   int64 `json:"enqueue_us,omitempty"`   // admitted to the step queue
-	DequeueUS   int64 `json:"dequeue_us,omitempty"`   // batcher picked the batch up
+	StartUS     int64 `json:"start_us"`                // handler entry
+	EnqueueUS   int64 `json:"enqueue_us,omitempty"`    // admitted to the step queue
+	DequeueUS   int64 `json:"dequeue_us,omitempty"`    // batcher picked the batch up
 	ExecBeginUS int64 `json:"exec_begin_us,omitempty"` // pool worker holds the session lock
-	ExecEndUS   int64 `json:"exec_end_us,omitempty"`  // sim.Run returned
-	BarrierUS   int64 `json:"barrier_us,omitempty"`   // the batch's latch opened
-	ReplyUS     int64 `json:"reply_us,omitempty"`     // handler got the result; serialize begins
-	DoneUS      int64 `json:"done_us"`                // response body written
+	ExecEndUS   int64 `json:"exec_end_us,omitempty"`   // sim.Run returned
+	BarrierUS   int64 `json:"barrier_us,omitempty"`    // the batch's latch opened
+	ReplyUS     int64 `json:"reply_us,omitempty"`      // handler got the result; serialize begins
+	DoneUS      int64 `json:"done_us"`                 // response body written
 
 	QueueWaitUS int64 `json:"queue_wait_us"`
 	BatchWaitUS int64 `json:"batch_wait_us"`

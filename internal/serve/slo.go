@@ -172,8 +172,8 @@ func (s *Server) SLONow(limit int) SLOReport {
 	s.mu.RUnlock()
 	for _, sess := range sessions {
 		rep.Tenants = append(rep.Tenants, TenantSLO{
-			Session:  sess.ID,
-			Workload: sess.Workload,
+			Session:   sess.ID,
+			Workload:  sess.Workload,
 			SLOStatus: sess.slo.status(),
 		})
 	}

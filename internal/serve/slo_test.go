@@ -47,10 +47,10 @@ func TestSLOWindowRotation(t *testing.T) {
 // latency or a shed request, nothing else.
 func TestSLOTrackerRecord(t *testing.T) {
 	tr := newSLOTracker(10*time.Millisecond, time.Minute, time.Hour)
-	tr.record(time.Millisecond, false)      // good
-	tr.record(20*time.Millisecond, false)   // bad: over target
-	tr.record(0, true)                      // bad: shed
-	tr.record(10*time.Millisecond, false)   // good: exactly at target
+	tr.record(time.Millisecond, false)    // good
+	tr.record(20*time.Millisecond, false) // bad: over target
+	tr.record(0, true)                    // bad: shed
+	tr.record(10*time.Millisecond, false) // good: exactly at target
 	st := tr.status()
 	if st.Requests != 4 || st.Bad != 2 {
 		t.Fatalf("status = %d/%d bad, want 2/4", st.Bad, st.Requests)

@@ -46,12 +46,12 @@ func TestParseTraceparentStrict(t *testing.T) {
 
 	bad := []string{
 		"",
-		valid + "x",                                  // too long
-		valid[:54],                                   // too short
-		strings.ToUpper(valid),                       // uppercase hex
-		"01" + valid[2:],                             // version 01
-		"ff" + valid[2:],                             // forbidden version
-		strings.Replace(valid, "-", "_", 1),          // wrong separator
+		valid + "x",                         // too long
+		valid[:54],                          // too short
+		strings.ToUpper(valid),              // uppercase hex
+		"01" + valid[2:],                    // version 01
+		"ff" + valid[2:],                    // forbidden version
+		strings.Replace(valid, "-", "_", 1), // wrong separator
 		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace id
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span id
 		"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01", // non-hex

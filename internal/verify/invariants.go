@@ -191,15 +191,18 @@ func pairKey(i, j int32) [2]int32 {
 	return [2]int32{i, j}
 }
 
-// BrutePairs enumerates every unordered atom pair of s within rng by the
-// O(N²) definition the cell list must reproduce: minimum-image center
-// distance strictly below rng.
+// BrutePairs enumerates every unordered interacting atom pair of s within
+// rng by the O(N²) definition the cell list must reproduce: minimum-image
+// center distance strictly below rng, not fixed–fixed, not excluded.
 func BrutePairs(s *atom.System, rng float64) map[[2]int32]struct{} {
 	out := make(map[[2]int32]struct{})
 	r2 := rng * rng
 	n := s.N()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
+			if s.Fixed[i] && s.Fixed[j] || s.Excl.Excluded(int32(i), int32(j)) {
+				continue
+			}
 			if s.Box.MinImage(s.Pos[j].Sub(s.Pos[i])).Norm2() < r2 {
 				out[pairKey(int32(i), int32(j))] = struct{}{}
 			}
@@ -254,11 +257,10 @@ func CellPairs(s *atom.System, rng float64, chunk int, full bool) (map[[2]int32]
 }
 
 // CheckNeighborCompleteness asserts that the cell-list pair set equals the
-// brute-force pair set for s at the given interaction range: no pair within
-// range may be missing (completeness), and no listed pair may be out of
-// range (validity — both builders share the brute-force distance
-// predicate, so the sets must be identical). Checked for both the half- and
-// full-list builders.
+// brute-force pair set for s at the given interaction range: no interacting
+// pair within range may be missing (completeness), and no listed pair may be
+// out of range or non-interacting (validity: the sets must be identical).
+// Checked for both the half- and full-list builders.
 func CheckNeighborCompleteness(s *atom.System, rng float64, chunk int) error {
 	brute := BrutePairs(s, rng)
 	for _, full := range []bool{false, true} {
@@ -273,7 +275,7 @@ func CheckNeighborCompleteness(s *atom.System, rng float64, chunk int) error {
 		}
 		for p := range got {
 			if _, ok := brute[p]; !ok {
-				return fmt.Errorf("full=%v: cell list pair %d-%d is outside range %g Å", full, p[0], p[1], rng)
+				return fmt.Errorf("full=%v: cell list pair %d-%d is outside range %g Å or does not interact", full, p[0], p[1], rng)
 			}
 		}
 	}

@@ -106,11 +106,19 @@ func TestNeighborListCompleteness(t *testing.T) {
 		{"periodic-one-cell-fallback", 20, true, 6.0, 3},
 		{"chunk-of-one", 30, false, 5.0, 1},
 		{"chunk-bigger-than-system", 25, true, 4.0, 1000},
+		{"fixed-atoms", 80, false, 4.3, 16},
 	}
 	for i, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sys := RandomSystem(rand.New(rand.NewSource(int64(200+i))), tc.n, tc.per)
+			if tc.name == "fixed-atoms" {
+				// Fix every third atom, bonded chain included, so the lists
+				// must drop fixed–fixed pairs as well as exclusions.
+				for a := 0; a < sys.N(); a += 3 {
+					sys.Fixed[a] = true
+				}
+			}
 			if err := CheckNeighborCompleteness(sys, tc.rng, tc.chunk); err != nil {
 				t.Error(err)
 			}
