@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages whose tests exercise the concurrent engine and therefore run
 # again under the race detector in `make verify`.
-RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve
+RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve ./internal/perfmon
 
 .PHONY: build test vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean benchmark benchmark-aa
 

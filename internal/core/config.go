@@ -7,8 +7,6 @@
 package core
 
 import (
-	"time"
-
 	"mw/internal/forces"
 	"mw/internal/telemetry"
 )
@@ -184,16 +182,6 @@ func PhaseNames() []string {
 	return names
 }
 
-// Instrument receives engine events; implementations live in
-// internal/perfmon. A nil instrument costs two branch checks per phase.
-// Instrument implementations are themselves the subject of the paper's §IV-A
-// observer-effect experiments.
-type Instrument interface {
-	// PhaseDone is called once per phase per step with the phase wall time
-	// and each worker's busy time during that phase.
-	PhaseDone(step int, ph Phase, wall time.Duration, workerBusy []time.Duration)
-}
-
 // Config holds engine parameters. The zero value is not usable; call
 // (Config).withDefaults via New.
 type Config struct {
@@ -255,20 +243,13 @@ type Config struct {
 	Thermostat Thermostat
 	// Field is an optional uniform external field.
 	Field forces.Field
-	// Instrument optionally receives per-phase events.
-	Instrument Instrument
 	// Telemetry optionally receives live engine events — phase begin/end,
 	// per-chunk completions, and (via the pool executors) steals and parks.
-	// Unlike Instrument, which the perfmon experiments swap per run, this is
-	// the always-on production monitor: a telemetry.Recorder here costs a
-	// few nanoseconds per event (the observer-native experiment gates it
-	// under 2%), and nil costs one branch per phase plus one per chunk.
+	// It is the engine's one observer hook: the production telemetry.Recorder
+	// (a few nanoseconds per event; the observer-native experiment gates it
+	// under 2%) and the §IV-A lab monitors in internal/perfmon all attach
+	// here. nil costs one branch per phase plus one per chunk.
 	Telemetry telemetry.Sink
-	// ChunkHook, when set, is invoked by the worker after every processed
-	// work chunk. It is the injection point for fine-grained monitors (the
-	// JaMON-style per-work-unit instrumentation whose observer effect §IV-A
-	// measures). It must be safe for concurrent use.
-	ChunkHook func(worker int)
 }
 
 // withDefaults fills unset fields with engine defaults.

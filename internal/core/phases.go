@@ -39,13 +39,6 @@ func (sim *Simulation) schedule(ph Phase, count int, fn func(worker, item int)) 
 	sim.beginPhase(ph)
 	start := time.Now()
 	w := sim.Cfg.Threads
-	if hook := sim.Cfg.ChunkHook; hook != nil {
-		inner := fn
-		fn = func(worker, item int) {
-			inner(worker, item)
-			hook(worker)
-		}
-	}
 	if tele := sim.Cfg.Telemetry; tele != nil {
 		phase := uint8(ph)
 		inner := fn
@@ -187,9 +180,6 @@ func (sim *Simulation) finishPhase(ph Phase, start time.Time) {
 	sim.PhaseWall[ph].Add(wall.Seconds())
 	for w, b := range sim.busy {
 		sim.WorkerBusy[ph][w] += b
-	}
-	if sim.Cfg.Instrument != nil {
-		sim.Cfg.Instrument.PhaseDone(sim.step, ph, wall, sim.busy)
 	}
 	if tele := sim.Cfg.Telemetry; tele != nil {
 		tele.PhaseEnd(sim.step, uint8(ph), wall, sim.busy)

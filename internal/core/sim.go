@@ -204,21 +204,19 @@ func New(sys *atom.System, cfg Config) (*Simulation, error) {
 	}
 
 	// Initial force evaluation fills Force and Acc. It is bootstrap, not a
-	// timestep: instruments and telemetry must not see it as a phase
-	// instance (nor its tasks as chunks or parks) — counting bootstrap is
-	// exactly the metric pollution the maintenance paths elsewhere avoid.
+	// timestep: telemetry must not see it as a phase instance (nor its tasks
+	// as chunks or parks) — counting bootstrap is exactly the metric
+	// pollution the maintenance paths elsewhere avoid.
 	// The force array must be cleared first: a system cloned from a previous
 	// run carries that run's forces, and the shared-mutex mode accumulates
 	// into Force in place (privatized mode overwrites it during reduce, but
 	// zeroing is cheap and keeps both modes on the same contract).
 	sys.ZeroForces()
-	inst, tele := sim.Cfg.Instrument, sim.Cfg.Telemetry
-	sim.Cfg.Instrument = nil
+	tele := sim.Cfg.Telemetry
 	sim.Cfg.Telemetry = nil
 	sim.listValid = false
 	sim.forcePhase()
 	sim.reducePhase()
-	sim.Cfg.Instrument = inst
 	sim.Cfg.Telemetry = tele
 	if tele != nil {
 		// Pool-level events (steals, parks) flow to the same sink, armed

@@ -296,40 +296,6 @@ func TestStepAndRunForCount(t *testing.T) {
 	}
 }
 
-type recordingInstrument struct {
-	phases map[Phase]int
-	steps  int
-}
-
-func (r *recordingInstrument) PhaseDone(step int, ph Phase, wall time.Duration, busy []time.Duration) {
-	if r.phases == nil {
-		r.phases = map[Phase]int{}
-	}
-	r.phases[ph]++
-	if step > r.steps {
-		r.steps = step
-	}
-	if len(busy) == 0 {
-		panic("no worker busy slice")
-	}
-}
-
-func TestInstrumentReceivesPhases(t *testing.T) {
-	s := ljGas(3, 4.3, 50, true)
-	inst := &recordingInstrument{}
-	sim := mustSim(t, s, Config{Dt: 1, Threads: 2, Instrument: inst})
-	defer sim.Close()
-	sim.Run(5)
-	for ph := PhasePredictor; ph < NumPhases; ph++ {
-		if inst.phases[ph] < 5 {
-			t.Errorf("phase %v reported %d times, want ≥5", ph, inst.phases[ph])
-		}
-	}
-	if inst.steps != 5 {
-		t.Errorf("last step = %d", inst.steps)
-	}
-}
-
 func TestPhaseWallAccumulates(t *testing.T) {
 	s := ljGas(3, 4.3, 50, true)
 	sim := mustSim(t, s, Config{Dt: 1})
@@ -516,7 +482,7 @@ func TestSnapshotDiff(t *testing.T) {
 func TestTelemetryObservesEngineNotBootstrap(t *testing.T) {
 	// The recorder wired through Config.Telemetry must see every timestep's
 	// phases and chunks — and nothing from New's bootstrap force evaluation,
-	// which is setup, not simulation (the same contract Instrument has).
+	// which is setup, not simulation.
 	rec := telemetry.NewRecorder(2, PhaseNames())
 	sim := mustSim(t, ljGas(4, 2.2, 120, true), Config{
 		Threads: 2, ChunkAtoms: 8, Telemetry: rec,
@@ -551,6 +517,18 @@ func TestTelemetryObservesEngineNotBootstrap(t *testing.T) {
 	}
 	if len(snap.Recent) == 0 {
 		t.Error("expected recent events after a run")
+	}
+	// Every PhaseEnd carried one busy slot per worker, and every worker did
+	// work in every phase.
+	if len(snap.PerWorker) != 2 {
+		t.Fatalf("per-worker views: got %d want 2", len(snap.PerWorker))
+	}
+	for _, wv := range snap.PerWorker {
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			if wv.BusySeconds[ph] <= 0 {
+				t.Errorf("worker %d phase %v: busy %g s, want > 0", wv.Worker, ph, wv.BusySeconds[ph])
+			}
+		}
 	}
 }
 

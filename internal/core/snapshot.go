@@ -21,7 +21,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures the current state. It must be called between steps, not
-// from an Instrument callback mid-phase. Snapshots are always expressed in
+// from a telemetry.Sink callback mid-phase. Snapshots are always expressed in
 // original atom IDs: when the reorder pass has permuted the system, the
 // arrays are scattered back through the inverse index map, so snapshots of
 // reordered and file-ordered runs of the same physics are directly

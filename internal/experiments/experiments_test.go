@@ -150,6 +150,11 @@ func TestObserverModeledOrdering(t *testing.T) {
 	if r.Baseline <= 0 || r.EngineBaseline <= 0 {
 		t.Error("wall-clock baselines missing")
 	}
+	for _, name := range []string{"synchronized", "atomic", "sharded"} {
+		if r.EngineMonitored[name] <= 0 {
+			t.Errorf("engine row %q missing: wall %v", name, r.EngineMonitored[name])
+		}
+	}
 }
 
 func TestSamplingGranularityShape(t *testing.T) {
@@ -265,16 +270,6 @@ func TestAblationRuns(t *testing.T) {
 	}
 	if !strings.Contains(r.Report, "rebuild fusion") {
 		t.Error("report incomplete")
-	}
-}
-
-func TestEngineTimelineDemo(t *testing.T) {
-	h, err := engineTimelineDemo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h <= 0 {
-		t.Error("empty recorded timeline")
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"mw/internal/cells"
 	"mw/internal/core"
@@ -45,7 +44,7 @@ func measureImbalance(b *workload.Benchmark, p core.Partition, steps int) (Imbal
 	cfg := b.Cfg
 	cfg.Threads = threads
 	cfg.Partition = p
-	cfg.Instrument = rec
+	cfg.Telemetry = rec
 	sim, err := core.New(b.Sys.Clone(), cfg)
 	if err != nil {
 		return ImbalanceRow{}, err
@@ -192,20 +191,4 @@ func staticWorkRows() []staticRow {
 	}
 	add("Al-1000 (LJ)", alChunks, totalAl)
 	return rows
-}
-
-// engineTimelineDemo is used by tests: a tiny run that exercises Recorder.
-func engineTimelineDemo() (time.Duration, error) {
-	b := workload.LJGas(3, 100, true)
-	rec := perfmon.NewRecorder(core.PhaseForce, 2)
-	cfg := b.Cfg
-	cfg.Threads = 2
-	cfg.Instrument = rec
-	sim, err := core.New(b.Sys, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer sim.Close()
-	sim.Run(3)
-	return rec.Timeline().Horizon, nil
 }

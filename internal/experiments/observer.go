@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mw/internal/core"
 	"mw/internal/machine"
 	"mw/internal/memtrace"
 	"mw/internal/perfmon"
@@ -20,7 +19,8 @@ type ObserverResult struct {
 	// Synthetic microbenchmark: wall time per monitor flavor.
 	Baseline  time.Duration
 	Monitored map[string]time.Duration
-	// Engine: wall time of a real parallel MD run with per-chunk monitors.
+	// Engine: wall time of a real 4-worker salt run with each monitor
+	// attached as the engine's telemetry sink.
 	EngineBaseline  time.Duration
 	EngineMonitored map[string]time.Duration
 	// Machine model: modeled 4-core cycles with per-work-unit monitor
@@ -35,23 +35,6 @@ type ObserverResult struct {
 // Slowdown returns wall/baseline for a flavor in the synthetic benchmark.
 func (r *ObserverResult) Slowdown(flavor string) float64 {
 	return float64(r.Monitored[flavor]) / float64(r.Baseline)
-}
-
-// runEngine measures a short parallel salt run with an optional per-chunk
-// monitor hook (the fine-grained instrumentation points JaMON would hook).
-func runEngine(steps int, hook func(worker int)) (time.Duration, error) {
-	b := workload.Salt()
-	cfg := b.Cfg
-	cfg.Threads = 4
-	cfg.ChunkHook = hook
-	sim, err := core.New(b.Sys, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer sim.Close()
-	start := time.Now()
-	sim.Run(steps)
-	return time.Since(start), nil
 }
 
 // monitorFlavor describes how a monitor's counters are laid out in memory.
@@ -156,21 +139,17 @@ func Observer(units, iters, steps int) (*ObserverResult, error) {
 		res.Monitored[m.Name()] = perfmon.MeasureObserverEffect(workers, units, iters, m)
 	}
 
-	base, err := runEngine(steps, nil)
+	base, err := runObserverNative(workload.Salt, nil, steps)
 	if err != nil {
 		return nil, err
 	}
 	res.EngineBaseline = base
-	for _, mk := range []func() perfmon.Monitor{
-		func() perfmon.Monitor { return perfmon.NewSyncMonitor() },
-		func() perfmon.Monitor { return perfmon.NewAtomicMonitor("chunk") },
-		func() perfmon.Monitor { return perfmon.NewShardedMonitor(workers, "chunk") },
+	for _, m := range []perfmon.Monitor{
+		perfmon.NewSyncMonitor(),
+		perfmon.NewAtomicMonitor("chunk"),
+		perfmon.NewShardedMonitor(workers, "chunk"),
 	} {
-		m := mk()
-		start := time.Now()
-		d, err := runEngine(steps, func(worker int) {
-			m.Record(worker, "chunk", time.Since(start))
-		})
+		d, err := runObserverNative(workload.Salt, perfmon.NewMonitorSink(m), steps)
 		if err != nil {
 			return nil, err
 		}

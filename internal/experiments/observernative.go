@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mw/internal/core"
+	"mw/internal/perfmon"
 	"mw/internal/report"
 	"mw/internal/telemetry"
 	"mw/internal/tracing"
@@ -18,7 +19,8 @@ import (
 // telemetry layer: the same run with telemetry off, with the ring-buffer
 // Recorder, with the full structured Tracer stacked on a recorder (spans,
 // straggler attribution, flight ring, affinity probe), and with the
-// deliberately JaMON-like mutex-per-event NaiveSink.
+// deliberately JaMON-like mutex-per-event control: perfmon's synchronized
+// monitor behind a MonitorSink ("Naive").
 type ObserverNativeRow struct {
 	Workload          string
 	OffWall           time.Duration // min-of-trials uninstrumented wall
@@ -184,7 +186,7 @@ func ObserverNative(steps, trials int, budgetPct float64) (*ObserverNativeResult
 					tracerW[trial] = d
 					row.TracerSteps += tr.TotalSteps()
 				case 3:
-					d, err := runObserverNative(wl.mk, telemetry.NewNaiveSink(core.PhaseNames()), steps)
+					d, err := runObserverNative(wl.mk, perfmon.NewMonitorSink(perfmon.NewSyncMonitor()), steps)
 					if err != nil {
 						return nil, err
 					}
@@ -238,8 +240,8 @@ func minWall(ds []time.Duration) time.Duration {
 // one mode never lands a quiet slot. Scheduler noise only ever inflates
 // an overhead estimate, and it rarely inflates both the same way, so the
 // smaller one is the better bound — while a genuine per-event cost (the
-// NaiveSink control reliably measures 5–15%) moves both together and
-// still trips the gate.
+// naive control measured 2.7–7.5% on nanocar on a 1-CPU host) moves both
+// together and still trips the gate.
 func overheadEstimate(instrumented, off []time.Duration) float64 {
 	med := medianOverheadPct(instrumented, off)
 	iMin, oMin := minWall(instrumented), minWall(off)

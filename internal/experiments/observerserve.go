@@ -18,7 +18,7 @@ import (
 // increase in mean request service time. The gate holds the production
 // mode under the same <2% budget the engine-side monitors live under; the
 // trace-everything mode is the stress control — reported, never gated —
-// exactly as observer-native treats the NaiveSink (on a loaded or
+// exactly as observer-native treats its naive monitor (on a loaded or
 // single-core host its paired ratios are dominated by scheduler noise).
 type ObserverServeResult struct {
 	Workload    string

@@ -33,7 +33,7 @@ func ThreadView(steps int) (*ThreadViewResult, error) {
 	cfg := b.Cfg
 	cfg.Threads = threads
 	cfg.Partition = core.PartitionBlock // the paper's 1/N split: visible imbalance
-	cfg.Instrument = rec
+	cfg.Telemetry = rec
 	sim, err := core.New(b.Sys, cfg)
 	if err != nil {
 		return nil, err

@@ -13,8 +13,10 @@
 //     (VTune) against 80–5000 µs work units see only the most severe
 //     imbalance and display stale states as false positives;
 //
-//   - a timeline builder that records ground truth from the engine's
-//     instrumentation hooks.
+//   - a timeline builder that records ground truth from real engine runs.
+//
+// Both the monitors (through MonitorSink) and the timeline Recorder attach
+// to the engine as telemetry.Sinks, its one observer hook.
 package perfmon
 
 import (

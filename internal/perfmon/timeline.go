@@ -173,10 +173,12 @@ func Synthetic(cfg SyntheticConfig) *Timeline {
 	return tl
 }
 
-// Recorder builds a ground-truth timeline from real engine runs: it
-// implements core.Instrument, mapping each force-phase instance to a
-// PhaseSpan with the engine's measured per-worker busy times.
+// Recorder builds a ground-truth timeline from real engine runs: set as
+// core.Config.Telemetry, it maps each instance of one phase to a PhaseSpan
+// with the engine's measured per-worker busy times. Only the coordinator
+// calls PhaseEnd, so the Recorder needs no locking.
 type Recorder struct {
+	nopSink
 	Phase core.Phase // which phase to record (typically PhaseForce)
 	tl    Timeline
 	now   time.Duration
@@ -189,9 +191,9 @@ func NewRecorder(ph core.Phase, workers int) *Recorder {
 	return r
 }
 
-// PhaseDone implements core.Instrument.
-func (r *Recorder) PhaseDone(step int, ph core.Phase, wall time.Duration, busy []time.Duration) {
-	if ph != r.Phase {
+// PhaseEnd implements telemetry.Sink.
+func (r *Recorder) PhaseEnd(step int, phase uint8, wall time.Duration, busy []time.Duration) {
+	if core.Phase(phase) != r.Phase {
 		return
 	}
 	span := PhaseSpan{Step: step, Start: r.now, End: r.now + wall, Busy: append([]time.Duration(nil), busy...)}

@@ -13,8 +13,9 @@
 // hotalloc analyzer and the escape-budget gate enforce that). The
 // `mwbench observer-native` experiment re-runs the paper's observer-effect
 // methodology on this very package and gates the build on a <2% overhead,
-// against a deliberately JaMON-like mutex-per-event monitor (NaiveSink)
-// that demonstrably fails the same budget.
+// against a deliberately JaMON-like mutex-per-event control (perfmon's
+// synchronized monitor attached as a Sink) that demonstrably fails the
+// same budget.
 package telemetry
 
 import (
@@ -64,9 +65,10 @@ func (k Kind) String() string {
 
 // Sink receives engine instrumentation events. The engine's schedule paths
 // and the pool executors call it on their hot paths, so implementations
-// must be safe for concurrent use and should be cheap; the ring-buffer
-// Recorder is the production implementation, NaiveSink the deliberately
-// expensive control for the observer-effect experiment.
+// must be safe for concurrent use and should be cheap. Sink is the engine's
+// one observer hook (core.Config.Telemetry): the ring-buffer Recorder is the
+// production implementation; internal/perfmon's monitors and timeline
+// recorder attach here too, for the observer-effect experiments.
 type Sink interface {
 	// PhaseBegin is called by the coordinator before fanning out a phase.
 	PhaseBegin(step int, phase uint8)

@@ -216,29 +216,6 @@ func TestRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestNaiveSinkCounts(t *testing.T) {
-	n := NewNaiveSink([]string{"forces", "integrate"})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				n.Chunk(w, 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	n.Steal(0)
-	n.Park(1, time.Millisecond)
-	if got := n.Count("integrate"); got != 2000 {
-		t.Errorf("integrate count: got %d want 2000", got)
-	}
-	if n.Count("steal") != 1 || n.Count("park") != 1 {
-		t.Errorf("steal/park counts: got %d/%d want 1/1", n.Count("steal"), n.Count("park"))
-	}
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	r := NewRecorder(2, []string{"forces", "integrate"})
 	r.PhaseBegin(1, 0)
