@@ -4,7 +4,7 @@ GO ?= go
 # again under the race detector in `make verify`.
 RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve ./internal/perfmon
 
-.PHONY: build test vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean benchmark benchmark-aa
+.PHONY: build test test-386 vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean benchmark benchmark-aa
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ lint-codegen:
 
 test:
 	$(GO) test ./...
+
+# The non-amd64 build: vet everything for 386 (32-bit int, no asm), then run
+# the engine packages there. It builds lj_cluster_noasm.go, so the engine
+# runs AccumulateClusterListFast where amd64 would run the AVX2 kernel —
+# the only place the no-AVX2 fallback is exercised.
+test-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -count=1 ./internal/forces ./internal/cells ./internal/core ./internal/verify
 
 # -count=1 defeats the test cache: the differential matrix must actually
 # re-execute under the race detector every time.
@@ -126,7 +134,7 @@ benchmark-aa:
 	$(GO) run ./benchmark -aa
 
 # The full correctness gate — what CI runs. See README.md §Verification.
-verify: lint build test race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke
+verify: lint build test test-386 race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke
 
 clean:
 	$(GO) clean ./...

@@ -158,29 +158,6 @@ func BenchmarkStepAl10004Threads(b *testing.B) { benchmarkSteps(b, workload.Al10
 
 // --- Ablation benchmarks (DESIGN.md §5) --------------------------------------
 
-// BenchmarkFusedPhases vs BenchmarkSeparateRebuild: the paper's phase 3+4
-// loop fusion on the rebuild-heavy Al-1000 workload.
-func BenchmarkFusedPhases(b *testing.B) {
-	bench := workload.Al1000()
-	benchmarkSteps(b, bench, 2)
-}
-
-func BenchmarkSeparateRebuild(b *testing.B) {
-	bench := workload.Al1000()
-	cfg := bench.Cfg
-	cfg.Threads = 2
-	cfg.SeparateRebuild = true
-	sim, err := core.New(bench.Sys, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sim.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
-	}
-}
-
 // BenchmarkQueueTopology compares the shared work queue with per-worker
 // queues (§II-B).
 func BenchmarkQueueTopologyShared(b *testing.B) {

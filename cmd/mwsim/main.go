@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		queues    = fs.String("queues", "shared", "queue topology: shared, per-worker, stealing")
 		reorder   = fs.Bool("reorder", false, "sort atoms into Morton cell order on neighbor-list rebuilds (output stays in file order)")
 		cluster   = fs.Bool("cluster", false, "Verlet cluster-pair (4x4) LJ neighbor format; with -reorder the engine auto-picks the fast or packed-SIMD kernel")
-		halflist  = fs.Bool("halflist", true, "Newton-3 half neighbor lists (false = full lists, no mirrored force writes)")
 		n         = fs.Int("n", 5, "lattice size for -bench lj-gas (n³ atoms)")
 		temp      = fs.Float64("temp", 120, "temperature for -bench lj-gas (K)")
 		every     = fs.Int("report-every", 0, "print diagnostics every k steps (0 = summary only)")
@@ -88,9 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Threads = *threads
 	cfg.Reorder = *reorder
 	cfg.Cluster = *cluster
-	if !*halflist {
-		cfg.PairLists = core.FullLists
-	}
 	switch *partition {
 	case "cyclic":
 		cfg.Partition = core.PartitionCyclic
@@ -169,14 +165,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer sim.Close()
 
+	// Report and time the run with the engine's resolved config (defaults
+	// applied), not the raw flags: a model with dt=0 runs at the default Dt.
+	dt := sim.Cfg.Dt
 	nsteps := *steps
 	if nsteps <= 0 {
-		nsteps = int(*ps * 1000 / cfg.Dt)
+		nsteps = int(*ps * 1000 / dt)
 	}
 	ch := workload.Characterize(b.Name, b.Sys)
 	fmt.Fprintf(stdout, "%s: %d atoms (%d charged, %d bond terms), dt=%g fs, %d threads, %s/%s\n",
-		ch.Name, ch.Atoms, ch.ChargedAtoms, ch.BondTerms, cfg.Dt, cfg.Threads,
-		cfg.Partition, cfg.Queues)
+		ch.Name, ch.Atoms, ch.ChargedAtoms, ch.BondTerms, dt, sim.Cfg.Threads,
+		sim.Cfg.Partition, sim.Cfg.Queues)
 	fmt.Fprintf(stdout, "initial: PE=%.3f eV  KE=%.3f eV  T=%.1f K\n",
 		sim.PE(), sim.Sys.KineticEnergy(), sim.Sys.Temperature())
 
@@ -207,9 +206,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sim.Run(k)
 			done += k
 			fmt.Fprintf(stdout, "step %6d  t=%7.2f ps  E=%12.4f eV  T=%7.1f K  rebuilds=%d\n",
-				done, float64(done)*cfg.Dt/1000, sim.TotalEnergy(), sim.Sys.Temperature(), sim.Rebuilds())
+				done, float64(done)*dt/1000, sim.TotalEnergy(), sim.Sys.Temperature(), sim.Rebuilds())
 			if traj != nil {
-				if err := traj.WriteFrame(sim.SystemInOriginalOrder(), fmt.Sprintf("t=%g fs", float64(done)*cfg.Dt)); err != nil {
+				if err := traj.WriteFrame(sim.SystemInOriginalOrder(), fmt.Sprintf("t=%g fs", float64(done)*dt)); err != nil {
 					fmt.Fprintln(stderr, err)
 					return 1
 				}
@@ -229,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "final:   PE=%.3f eV  KE=%.3f eV  T=%.1f K\n",
 		sim.PE(), sim.Sys.KineticEnergy(), sim.Sys.Temperature())
 	fmt.Fprintf(stdout, "simulated %.2f ps in %v — %.1f updates/s (refresh rate)\n",
-		float64(nsteps)*cfg.Dt/1000, wall.Round(time.Millisecond),
+		float64(nsteps)*dt/1000, wall.Round(time.Millisecond),
 		float64(nsteps)/wall.Seconds())
 
 	snap := rec.Snapshot(0)

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"mw/internal/core"
+	"mw/internal/mml"
 	"mw/internal/tracing"
+	"mw/internal/workload"
 )
 
 func TestBadFlagsExit2(t *testing.T) {
@@ -103,6 +106,37 @@ func TestEndToEndRun(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "27 atoms") {
 		t.Errorf("reloaded model output:\n%s", out2.String())
+	}
+}
+
+// TestReportsResolvedConfig checks that the header, the -ps step count and
+// the progress lines use the engine's resolved config: -threads 0 runs (and
+// reports) one worker, and a model saved with dt=0 runs at the default 2 fs
+// instead of reporting dt=0 and running no steps.
+func TestReportsResolvedConfig(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-bench", "lj-gas", "-n", "3", "-threads", "0", "-steps", "3"}, &out, &errw); code != 0 {
+		t.Fatalf("-threads 0: exit %d; stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "1 threads") {
+		t.Errorf("-threads 0 header does not report the 1 worker that runs:\n%s", out.String())
+	}
+
+	b := workload.LJGas(3, 120, false)
+	model := filepath.Join(t.TempDir(), "dt0.mml")
+	if err := mml.SaveFile(model, mml.FromSystem("dt0", b.Sys, core.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errw.Reset()
+	if code := run([]string{"-load", model, "-ps", "0.1", "-report-every", "25"}, &out, &errw); code != 0 {
+		t.Fatalf("dt=0 model: exit %d; stderr: %s", code, errw.String())
+	}
+	s := out.String()
+	for _, want := range []string{"dt=2 fs", "1 threads", "step     50  t=   0.10 ps", "simulated 0.10 ps"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("dt=0 model output missing %q:\n%s", want, s)
+		}
 	}
 }
 

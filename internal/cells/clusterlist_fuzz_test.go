@@ -40,7 +40,7 @@ func FuzzClusterList(f *testing.F) {
 				} else if idx < len(posBytes) {
 					v = uint16(posBytes[idx])
 				} else {
-					v = uint16(i*2654435761) ^ uint16(d*40503)
+					v = uint16(uint32(i)*2654435761) ^ uint16(d*40503)
 				}
 				c[d] = float64(v) / 65536 * l
 			}

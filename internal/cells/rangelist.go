@@ -67,63 +67,6 @@ func (g *Grid) BuildRange(s *atom.System, rng float64, lo, hi int, rl *RangeList
 	rl.Offsets[n] = int32(len(rl.Neighbors))
 }
 
-// BuildRangeFull fills rl with ALL interacting neighbors (any j ≠ i within
-// rng) of atoms [lo, hi) — the full-list alternative to Molecular
-// Workbench's half pairing. Every pair appears twice (once per endpoint),
-// so forces computed from it must not be mirrored to f[j]; the benefit is a
-// perfectly uniform per-atom load shape, the ablation DESIGN.md calls out
-// against §II-B's front-loaded half lists.
-//
-//mw:hotpath
-func (g *Grid) BuildRangeFull(s *atom.System, rng float64, lo, hi int, rl *RangeList) {
-	rl.Lo, rl.Hi = lo, hi
-	n := hi - lo
-	if cap(rl.Offsets) < n+1 {
-		rl.Offsets = make([]int32, n+1)
-	}
-	rl.Offsets = rl.Offsets[:n+1]
-	rl.Neighbors = rl.Neighbors[:0]
-	r2 := rng * rng
-	for i := lo; i < hi; i++ {
-		start := len(rl.Neighbors)
-		rl.Offsets[i-lo] = int32(start)
-		pi := s.Pos[i]
-		cx := g.coord(pi.X, g.inv.X, g.Dims[0])
-		cy := g.coord(pi.Y, g.inv.Y, g.Dims[1])
-		cz := g.coord(pi.Z, g.inv.Z, g.Dims[2])
-		for dz := -1; dz <= 1; dz++ {
-			z, ok := g.wrapCoord(cz+dz, g.Dims[2])
-			if !ok {
-				continue
-			}
-			for dy := -1; dy <= 1; dy++ {
-				y, ok := g.wrapCoord(cy+dy, g.Dims[1])
-				if !ok {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					x, ok := g.wrapCoord(cx+dx, g.Dims[0])
-					if !ok {
-						continue
-					}
-					c := (z*g.Dims[1]+y)*g.Dims[0] + x
-					for j := g.head[c]; j >= 0; j = g.next[j] {
-						if int(j) == i {
-							continue
-						}
-						d := g.Box.MinImage(s.Pos[j].Sub(pi))
-						if d.Norm2() < r2 {
-							rl.Neighbors = append(rl.Neighbors, j)
-						}
-					}
-				}
-			}
-		}
-		rl.Neighbors = keepInteracting(s, i, rl.Neighbors, start)
-	}
-	rl.Offsets[n] = int32(len(rl.Neighbors))
-}
-
 // Of returns the neighbor slice of atom i, which must lie in [Lo, Hi).
 // An index outside the range, or a corrupt offset table, yields an empty
 // slice. The explicit guards are bounds-check elimination: they hand the

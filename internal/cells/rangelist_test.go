@@ -40,43 +40,6 @@ func TestBuildRangeMatchesGlobalList(t *testing.T) {
 	}
 }
 
-func TestBuildRangeFullSymmetry(t *testing.T) {
-	s := randomSystem(22, 80, 12, true)
-	const rng = 3.5
-	g := NewGrid(s.Box, rng)
-	g.Assign(s)
-	var rl RangeList
-	g.BuildRangeFull(s, rng, 0, s.N(), &rl)
-
-	// Every pair appears exactly twice: j in Of(i) iff i in Of(j).
-	pair := map[[2]int32]int{}
-	for i := 0; i < s.N(); i++ {
-		for _, j := range rl.Of(i) {
-			if int(j) == i {
-				t.Fatal("self pair in full list")
-			}
-			a, b := int32(i), j
-			if a > b {
-				a, b = b, a
-			}
-			pair[[2]int32{a, b}]++
-		}
-	}
-	for p, n := range pair {
-		if n != 2 {
-			t.Fatalf("pair %v appears %d times, want 2", p, n)
-		}
-	}
-	// And matches brute force.
-	bf := BruteForcePairs(s, rng)
-	if len(pair) != len(bf) {
-		t.Fatalf("full list has %d unique pairs, brute force %d", len(pair), len(bf))
-	}
-	if rl.Len() != 2*len(bf) {
-		t.Fatalf("Len = %d, want %d", rl.Len(), 2*len(bf))
-	}
-}
-
 func TestBuildRangeStorageReuse(t *testing.T) {
 	s := randomSystem(23, 100, 12, false)
 	g := NewGrid(s.Box, 3.5)
@@ -131,9 +94,9 @@ func TestNeighborListRectangularBox(t *testing.T) {
 	assertPairsEqual(t, got, want)
 }
 
-// TestBuildRangeDropsNonInteractingPairs pins the list contract: the
-// half and full range lists hold exactly the interacting pairs within range
-// (no fixed–fixed, no topology-excluded pair), the full list each one twice.
+// TestBuildRangeDropsNonInteractingPairs pins the list contract: the half
+// range list holds exactly the interacting pairs within range (no
+// fixed–fixed, no topology-excluded pair), each one once.
 func TestBuildRangeDropsNonInteractingPairs(t *testing.T) {
 	const rng = 3.0
 	for _, periodic := range []bool{false, true} {
@@ -143,42 +106,32 @@ func TestBuildRangeDropsNonInteractingPairs(t *testing.T) {
 		g := NewGrid(s.Box, rng)
 		g.Assign(s)
 		want := expectedPairs(s, rng)
-		for _, full := range []bool{false, true} {
-			var rl RangeList
-			if full {
-				g.BuildRangeFull(s, rng, 0, s.N(), &rl)
-			} else {
-				g.BuildRange(s, rng, 0, s.N(), &rl)
-			}
-			got := map[int64]int{}
-			for i := 0; i < s.N(); i++ {
-				for _, j := range rl.Of(i) {
-					a, b := int32(i), j
-					if a > b {
-						a, b = b, a
-					}
-					got[pairKey(a, b)]++
+		var rl RangeList
+		g.BuildRange(s, rng, 0, s.N(), &rl)
+		got := map[int64]int{}
+		for i := 0; i < s.N(); i++ {
+			for _, j := range rl.Of(i) {
+				a, b := int32(i), j
+				if a > b {
+					a, b = b, a
 				}
+				got[pairKey(a, b)]++
 			}
-			copies := 1
-			if full {
-				copies = 2
+		}
+		for k := range want {
+			if got[k] != 1 {
+				t.Errorf("periodic=%v: pair (%d,%d) listed %d times, want 1",
+					periodic, k>>32, int32(k), got[k])
 			}
-			for k := range want {
-				if got[k] != copies {
-					t.Errorf("periodic=%v full=%v: pair (%d,%d) listed %d times, want %d",
-						periodic, full, k>>32, int32(k), got[k], copies)
-				}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("periodic=%v: non-interacting pair (%d,%d) listed",
+					periodic, k>>32, int32(k))
 			}
-			for k := range got {
-				if !want[k] {
-					t.Errorf("periodic=%v full=%v: non-interacting pair (%d,%d) listed",
-						periodic, full, k>>32, int32(k))
-				}
-			}
-			if rl.Len() != copies*len(want) {
-				t.Errorf("periodic=%v full=%v: Len = %d, want %d", periodic, full, rl.Len(), copies*len(want))
-			}
+		}
+		if rl.Len() != len(want) {
+			t.Errorf("periodic=%v: Len = %d, want %d", periodic, rl.Len(), len(want))
 		}
 	}
 }

@@ -68,15 +68,6 @@ func TestClusterPeriodicBox(t *testing.T) {
 	}
 }
 
-// TestClusterRequiresHalfLists: the cluster masks encode Newton-3 half-pair
-// ownership, so full lists must be rejected at construction.
-func TestClusterRequiresHalfLists(t *testing.T) {
-	s := ljGas(2, 4.3, 10, false)
-	if _, err := New(s, Config{Cluster: true, PairLists: FullLists}); err == nil {
-		t.Error("Cluster+FullLists accepted")
-	}
-}
-
 // TestAnisotropicPeriodicBoxRejected: the minimum-image check must use the
 // *thinnest* periodic edge. A box ample in two dimensions but thinner than
 // the interaction range in the third passes a max-edge check and silently

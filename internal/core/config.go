@@ -98,49 +98,6 @@ func (r ReduceMode) String() string {
 	return "privatized"
 }
 
-// IntegratorMode selects the predictor-corrector integration scheme. Both
-// fit the paper's description (§II-A): a second-order Taylor predictor for
-// positions followed by a velocity corrector using the newly computed
-// forces.
-type IntegratorMode int
-
-const (
-	// VelocityVerlet is the default half-kick/drift/half-kick scheme.
-	VelocityVerlet IntegratorMode = iota
-	// Beeman is Beeman's third-order-position predictor-corrector — the
-	// scheme the Molecular Workbench engine itself documents. It needs the
-	// previous step's acceleration.
-	Beeman
-)
-
-// String returns the integrator name.
-func (m IntegratorMode) String() string {
-	if m == Beeman {
-		return "beeman"
-	}
-	return "velocity-verlet"
-}
-
-// PairListMode selects half or full neighbor lists.
-type PairListMode int
-
-const (
-	// HalfLists stores each pair once under its lower-indexed atom —
-	// Molecular Workbench's scheme (§II-B), with its front-loaded work.
-	HalfLists PairListMode = iota
-	// FullLists stores each pair under both endpoints: ~2× the pair
-	// arithmetic, but a uniform load shape and no mirrored force writes.
-	FullLists
-)
-
-// String returns the mode name.
-func (p PairListMode) String() string {
-	if p == FullLists {
-		return "full-lists"
-	}
-	return "half-lists"
-}
-
 // Phase identifies one stage of the timestep (paper §II-A's six phases;
 // neighbor rebuild is fused into the force phase, and the validity check is
 // phase 2).
@@ -202,16 +159,8 @@ type Config struct {
 	Queues QueueTopology
 	// Reduce selects force accumulation (default privatized arrays).
 	Reduce ReduceMode
-	// SeparateRebuild runs the neighbor rebuild as its own barriered phase
-	// instead of fusing it into the force phase. The fused layout (default)
-	// is the paper's design; the separated layout exists for the ablation
-	// benchmark.
-	SeparateRebuild bool
 	// ChunkAtoms is the work-chunk granularity in atoms/bonds (default 64).
 	ChunkAtoms int
-	// PairLists selects half (default, the paper's scheme) or full
-	// neighbor lists.
-	PairLists PairListMode
 	// Reorder enables the engine-native spatial data reordering of §V-A: on
 	// every neighbor-list rebuild, atoms are permuted into Morton (Z-order)
 	// cell order — positions, velocities, forces, charges gathered, bond
@@ -233,12 +182,9 @@ type Config struct {
 	// keeps SIMD lanes full under Al-1000's frequent rebuilds. On its own it
 	// runs the bitwise-deterministic reference cluster kernel; with Reorder
 	// it runs the fast variant or, on capable amd64 hardware with a
-	// non-periodic box, the packed AVX2 kernel. Requires half pair lists
-	// (the cluster masks encode Newton-3 half-pair ownership).
+	// non-periodic box, the packed AVX2 kernel. The cluster masks encode
+	// Newton-3 half-pair ownership, like the half range lists.
 	Cluster bool
-	// Integrator selects the predictor-corrector scheme (default velocity
-	// Verlet).
-	Integrator IntegratorMode
 	// Thermostat optionally controls temperature each step (nil = NVE).
 	Thermostat Thermostat
 	// Field is an optional uniform external field.

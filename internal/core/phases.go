@@ -187,9 +187,8 @@ func (sim *Simulation) finishPhase(ph Phase, start time.Time) {
 }
 
 // predictorPhase is phase 1: advance positions with a second-order Taylor
-// step (velocity Verlet's half-kick + drift, or Beeman's weighted-
-// acceleration drift), then handle wall collisions. It also clears the
-// shared force array for the shared-mutex reduction mode.
+// step (velocity Verlet's half-kick + drift), then handle wall collisions.
+// It also clears the shared force array for the shared-mutex reduction mode.
 //
 //mw:hotpath
 //mw:forcewriter
@@ -197,7 +196,6 @@ func (sim *Simulation) predictorPhase() {
 	s := sim.Sys
 	dt := sim.Cfg.Dt
 	half := 0.5 * dt
-	beeman := sim.Cfg.Integrator == Beeman
 	zeroShared := sim.Cfg.Reduce == ReduceSharedMutex
 	sim.schedule(PhasePredictor, sim.atomChunks.count, func(_, item int) {
 		lo, hi := sim.atomChunks.bounds(item)
@@ -208,16 +206,8 @@ func (sim *Simulation) predictorPhase() {
 			if s.Fixed[i] {
 				continue
 			}
-			var p, v vec.Vec3
-			if beeman {
-				// x += v·dt + (4a − a_prev)·dt²/6
-				v = s.Vel[i]
-				p = s.Pos[i].AddScaled(dt, v).
-					AddScaled(dt*dt/6, s.Acc[i].Scale(4).Sub(sim.prevAcc[i]))
-			} else {
-				v = s.Vel[i].AddScaled(half, s.Acc[i])
-				p = s.Pos[i].AddScaled(dt, v)
-			}
+			v := s.Vel[i].AddScaled(half, s.Acc[i])
+			p := s.Pos[i].AddScaled(dt, v)
 			p, v = s.Box.Reflect(p, v)
 			s.Pos[i] = p
 			s.Vel[i] = v
@@ -262,28 +252,6 @@ func (sim *Simulation) neighborCheckPhase() {
 			break
 		}
 	}
-}
-
-// rebuildPhase is the unfused variant of phase 3 (ablation only): assign the
-// grid and rebuild every chunk's range list as a standalone barriered phase.
-func (sim *Simulation) rebuildPhase() {
-	sim.maybeReorder()
-	sim.grid.Assign(sim.Sys)
-	rng := sim.Cfg.LJCutoff + sim.Cfg.Skin
-	sim.schedule(PhaseForce, sim.atomChunks.count, func(_, item int) {
-		lo, hi := sim.atomChunks.bounds(item)
-		switch {
-		case sim.Cfg.Cluster:
-			sim.grid.BuildClusterRange(sim.Sys, rng, lo, hi, &sim.clusterLists[item])
-		case sim.Cfg.PairLists == FullLists:
-			sim.grid.BuildRangeFull(sim.Sys, rng, lo, hi, &sim.ljLists[item])
-		default:
-			sim.grid.BuildRange(sim.Sys, rng, lo, hi, &sim.ljLists[item])
-		}
-	})
-	copy(sim.refPos, sim.Sys.Pos)
-	sim.listValid = true
-	sim.rebuilds++
 }
 
 // forceItemKind dispatches force-phase work items.
@@ -363,11 +331,6 @@ func (sim *Simulation) forcePhase() {
 				default:
 					pe = sim.lj.AccumulateClusterList(s, cl, f)
 				}
-			} else if sim.Cfg.PairLists == FullLists {
-				if rebuild {
-					sim.grid.BuildRangeFull(s, rng, lo, hi, rl)
-				}
-				pe = sim.lj.AccumulateRangeListFull(s, rl, f)
 			} else {
 				if rebuild {
 					sim.grid.BuildRange(s, rng, lo, hi, rl)
@@ -448,14 +411,12 @@ func (sim *Simulation) reducePhase() {
 
 // correctorPhase is phase 6: compute the new acceleration from the reduced
 // forces and complete the velocity update (velocity Verlet's second
-// half-kick, or Beeman's weighted three-acceleration corrector).
+// half-kick).
 //
 //mw:hotpath
 func (sim *Simulation) correctorPhase() {
 	s := sim.Sys
-	dt := sim.Cfg.Dt
-	half := 0.5 * dt
-	beeman := sim.Cfg.Integrator == Beeman
+	half := 0.5 * sim.Cfg.Dt
 	sim.schedule(PhaseCorrector, sim.atomChunks.count, func(_, item int) {
 		lo, hi := sim.atomChunks.bounds(item)
 		for i := lo; i < hi; i++ {
@@ -463,14 +424,7 @@ func (sim *Simulation) correctorPhase() {
 				continue
 			}
 			a := s.Force[i].Scale(s.InvMass[i] * units.ForceToAccel)
-			if beeman {
-				// v += (2a_new + 5a − a_prev)·dt/6
-				s.Vel[i] = s.Vel[i].AddScaled(dt/6,
-					a.Scale(2).Add(s.Acc[i].Scale(5)).Sub(sim.prevAcc[i]))
-				sim.prevAcc[i] = s.Acc[i]
-			} else {
-				s.Vel[i] = s.Vel[i].AddScaled(half, a)
-			}
+			s.Vel[i] = s.Vel[i].AddScaled(half, a)
 			s.Acc[i] = a
 		}
 	})

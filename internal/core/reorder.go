@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mw/internal/atom"
-	"mw/internal/vec"
-)
+import "mw/internal/atom"
 
 // The engine-native reorder pass (Cfg.Reorder): at every neighbor-list
 // rebuild, atoms are sorted into Morton (Z-order) cell order with a stable
@@ -26,7 +23,6 @@ type reorderState struct {
 	counts  []int32 // per-rank populations (prefix-summed during the sort)
 	cellPop []int32 // per-rank populations preserved for chunk alignment
 	order   []int32 // gather permutation: order[new] = old
-	v3      []vec.Vec3
 
 	// orig[slot] = original atom ID now held in slot; origSlot is its
 	// inverse. nil until the first non-identity reorder.
@@ -102,23 +98,11 @@ func (sim *Simulation) maybeReorder() bool {
 	return true
 }
 
-// permuteEngineState carries the per-atom state the engine owns (previous
-// accelerations, charged-atom index list, original-ID maps) across a
-// permutation of the System.
+// permuteEngineState carries the per-atom state the engine owns (charged-atom
+// index list, original-ID maps) across a permutation of the System.
 func (sim *Simulation) permuteEngineState(order []int32) {
 	ro := &sim.ro
 	n := len(order)
-
-	if sim.prevAcc != nil {
-		if cap(ro.v3) < n {
-			ro.v3 = make([]vec.Vec3, n)
-		}
-		v3 := ro.v3[:n]
-		for k, o := range order {
-			v3[k] = sim.prevAcc[o]
-		}
-		copy(sim.prevAcc, v3)
-	}
 
 	// The charged-atom list holds indices; map them and restore ascending
 	// order by rescanning (the list length never changes under relabeling).

@@ -63,9 +63,6 @@ func TestReorderPhysicsMatchesReference(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"serial-guided", func(c *Config) {}},
-		{"full-lists", func(c *Config) { c.PairLists = FullLists }},
-		{"beeman", func(c *Config) { c.Integrator = Beeman }},
-		{"separate-rebuild", func(c *Config) { c.SeparateRebuild = true }},
 		{"threads4-stealing", func(c *Config) { c.Threads = 4; c.Queues = WorkStealingQueues }},
 		{"threads4-shared-mutex", func(c *Config) { c.Threads = 4; c.Reduce = ReduceSharedMutex }},
 	} {

@@ -48,10 +48,6 @@ type Simulation struct {
 	listValid bool
 	rebuilds  int
 
-	// prevAcc holds the previous step's accelerations for the Beeman
-	// integrator (nil under velocity Verlet).
-	prevAcc []vec.Vec3
-
 	// Executor state. ex is nil for serial runs. pinned is set when the
 	// per-worker-queue topology is selected; stealing when work stealing is.
 	ex       pool.Executor
@@ -134,9 +130,6 @@ func New(sys *atom.System, cfg Config) (*Simulation, error) {
 	// max-edge check and silently fold neighbors onto the wrong image.
 	if sys.Box.Periodic && sys.Box.L.MinAbs() < rng {
 		return nil, fmt.Errorf("core: periodic box edge smaller than interaction range %g", rng)
-	}
-	if cfg.Cluster && cfg.PairLists == FullLists {
-		return nil, fmt.Errorf("core: cluster pair format requires half pair lists")
 	}
 	sim := &Simulation{
 		Sys:     sys,
@@ -235,11 +228,6 @@ func New(sys *atom.System, cfg Config) (*Simulation, error) {
 	for i := range sys.Acc {
 		sys.Acc[i] = sys.Force[i].Scale(sys.InvMass[i] * units.ForceToAccel)
 	}
-	if cfg.Integrator == Beeman {
-		// Bootstrap a(t−dt) = a(0): degrades the first step to second
-		// order, standard practice.
-		sim.prevAcc = append([]vec.Vec3(nil), sys.Acc...)
-	}
 	return sim, nil
 }
 
@@ -264,9 +252,6 @@ func (sim *Simulation) Step() {
 	sim.step++
 	sim.predictorPhase()
 	sim.neighborCheckPhase()
-	if sim.Cfg.SeparateRebuild && !sim.listValid {
-		sim.rebuildPhase()
-	}
 	sim.forcePhase()
 	sim.reducePhase()
 	sim.correctorPhase()
@@ -338,8 +323,8 @@ func (sim *Simulation) Steals() []int64 {
 	return sim.stealing.Steals()
 }
 
-// LJPairs returns the number of stored LJ pairs (both copies under
-// FullLists). Every format stores only interacting pairs. Under Cfg.Cluster
+// LJPairs returns the number of stored LJ pairs. Every format stores only
+// interacting pairs. Under Cfg.Cluster
 // the pairs live in the cluster lists as mask bits rather than in ljLists,
 // so the count comes from there.
 func (sim *Simulation) LJPairs() int {

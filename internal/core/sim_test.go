@@ -195,15 +195,6 @@ func TestReduceModesAgree(t *testing.T) {
 	}
 }
 
-func TestSeparateRebuildAgrees(t *testing.T) {
-	base := ljGas(3, 4.3, 120, true)
-	ref := runVariant(t, base, Config{Dt: 1, Threads: 2}, 40)
-	got := runVariant(t, base, Config{Dt: 1, Threads: 2, SeparateRebuild: true}, 40)
-	if d := maxPosDiff(ref, got); d > 1e-6 {
-		t.Errorf("separate rebuild diverged by %v", d)
-	}
-}
-
 func TestBondedSystemDynamics(t *testing.T) {
 	s := bondedChain()
 	sim := mustSim(t, s, Config{Dt: 0.5})

@@ -9,32 +9,6 @@ import (
 	"mw/internal/vec"
 )
 
-func TestFullListsMatchHalfLists(t *testing.T) {
-	base := ljGas(4, 4.3, 60, true)
-	half := runVariant(t, base, Config{Dt: 1, Threads: 2, PairLists: HalfLists}, 25)
-	full := runVariant(t, base, Config{Dt: 1, Threads: 2, PairLists: FullLists}, 25)
-	if d := maxPosDiff(half, full); d > 1e-7 {
-		t.Errorf("full lists diverged from half lists by %v", d)
-	}
-}
-
-func TestFullListsEnergyMatches(t *testing.T) {
-	base := ljGas(3, 4.3, 40, true)
-	simH := mustSim(t, base.Clone(), Config{Dt: 1, PairLists: HalfLists})
-	defer simH.Close()
-	simF := mustSim(t, base.Clone(), Config{Dt: 1, PairLists: FullLists})
-	defer simF.Close()
-	if math.Abs(simH.PE()-simF.PE()) > 1e-9*(1+math.Abs(simH.PE())) {
-		t.Errorf("initial PE: half %v vs full %v", simH.PE(), simF.PE())
-	}
-}
-
-func TestPairListModeString(t *testing.T) {
-	if HalfLists.String() != "half-lists" || FullLists.String() != "full-lists" {
-		t.Error("pair list mode names wrong")
-	}
-}
-
 func TestVelocityRescaleHoldsTemperature(t *testing.T) {
 	s := ljGas(4, 4.3, 250, true)
 	sim := mustSim(t, s, Config{Dt: 1, Thermostat: &VelocityRescale{T: 150}})
@@ -119,48 +93,6 @@ func TestThermostatNames(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing thermostat %q", want)
 		}
-	}
-}
-
-func TestBeemanConservesEnergy(t *testing.T) {
-	s := ljGas(4, 4.3, 30, true)
-	sim := mustSim(t, s, Config{Dt: 1, Integrator: Beeman})
-	defer sim.Close()
-	e0 := sim.TotalEnergy()
-	sim.Run(300)
-	drift := math.Abs(sim.TotalEnergy() - e0)
-	if drift > 0.02*(s.KineticEnergy()+1e-9) {
-		t.Errorf("Beeman energy drift %v over 300 steps", drift)
-	}
-}
-
-func TestBeemanParallelMatchesSerial(t *testing.T) {
-	base := ljGas(3, 4.3, 60, true)
-	serial := runVariant(t, base, Config{Dt: 1, Integrator: Beeman}, 20)
-	par := runVariant(t, base, Config{Dt: 1, Integrator: Beeman, Threads: 3}, 20)
-	if d := maxPosDiff(serial, par); d > 1e-7 {
-		t.Errorf("parallel Beeman diverged by %v", d)
-	}
-}
-
-func TestIntegratorsAgreeShortTerm(t *testing.T) {
-	// Both schemes are O(dt²) in positions: over a few steps at small dt
-	// they must track each other closely, while not being identical.
-	base := ljGas(3, 4.3, 40, true)
-	vv := runVariant(t, base, Config{Dt: 0.2, Integrator: VelocityVerlet}, 10)
-	bm := runVariant(t, base, Config{Dt: 0.2, Integrator: Beeman}, 10)
-	d := maxPosDiff(vv, bm)
-	if d > 1e-4 {
-		t.Errorf("integrators diverged too fast: %v", d)
-	}
-	if d == 0 {
-		t.Error("integrators produced identical trajectories (Beeman not active?)")
-	}
-}
-
-func TestIntegratorModeString(t *testing.T) {
-	if VelocityVerlet.String() != "velocity-verlet" || Beeman.String() != "beeman" {
-		t.Error("integrator names wrong")
 	}
 }
 

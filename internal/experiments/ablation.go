@@ -12,14 +12,11 @@ import (
 
 // AblationResult holds the design-choice ablations DESIGN.md calls out.
 type AblationResult struct {
-	FusedSec, SeparateSec         float64
 	SharedQueueSec, PerQueueSec   float64
 	StealingSec                   float64
 	StealCount                    int64
 	SharedContended, PerContended int64
 	PrivatizedSec, MutexSec       float64
-	HalfSec, FullSec              float64
-	VerletSec, BeemanSec          float64
 	HalfFirstThird, HalfLastThird int
 	Report                        string
 }
@@ -37,8 +34,6 @@ func timeRun(b *workload.Benchmark, cfg core.Config, steps int) (float64, *core.
 
 // Ablation measures the engine design choices:
 //
-//   - fused rebuild+force (the paper's §II-A loop fusion) vs a separate
-//     rebuild phase;
 //   - one shared work queue vs per-worker queues (§II-B), with the queue
 //     contention counters;
 //   - privatized force arrays + reduction (phase 5) vs a mutex-guarded
@@ -50,26 +45,6 @@ func Ablation(steps int) (*AblationResult, error) {
 		steps = 30
 	}
 	res := &AblationResult{}
-	al := workload.Al1000()
-
-	// Fusion: Al-1000 rebuilds nearly every step, so the separate phase
-	// costs an extra pass + barrier per step.
-	var err error
-	var sim *core.Simulation
-	cfgF := al.Cfg
-	cfgF.Threads = 2
-	res.FusedSec, sim, err = timeRun(al, cfgF, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
-	cfgS := cfgF
-	cfgS.SeparateRebuild = true
-	res.SeparateSec, sim, err = timeRun(al, cfgS, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
 
 	// Queue topology on salt with 4 workers.
 	salt := workload.Salt()
@@ -107,6 +82,7 @@ func Ablation(steps int) (*AblationResult, error) {
 	cfgR := salt.Cfg
 	cfgR.Threads = 4
 	cfgR.Reduce = core.ReducePrivatized
+	var sim *core.Simulation
 	res.PrivatizedSec, sim, err = timeRun(salt, cfgR, steps)
 	if err != nil {
 		return nil, err
@@ -119,38 +95,8 @@ func Ablation(steps int) (*AblationResult, error) {
 	}
 	sim.Close()
 
-	// Half vs full pair lists on Al-1000.
-	cfgL := al.Cfg
-	cfgL.Threads = 2
-	cfgL.PairLists = core.HalfLists
-	res.HalfSec, sim, err = timeRun(al, cfgL, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
-	cfgL.PairLists = core.FullLists
-	res.FullSec, sim, err = timeRun(al, cfgL, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
-
-	// Integrator scheme on Al-1000.
-	cfgI := al.Cfg
-	cfgI.Integrator = core.VelocityVerlet
-	res.VerletSec, sim, err = timeRun(al, cfgI, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
-	cfgI.Integrator = core.Beeman
-	res.BeemanSec, sim, err = timeRun(al, cfgI, steps)
-	if err != nil {
-		return nil, err
-	}
-	sim.Close()
-
 	// Half-list load shape.
+	al := workload.Al1000()
 	nl := cells.NewNeighborList(al.Cfg.LJCutoff, al.Cfg.Skin)
 	nl.Build(al.Sys)
 	third := al.Sys.N() / 3
@@ -163,10 +109,6 @@ func Ablation(steps int) (*AblationResult, error) {
 
 	t := report.NewTable("Design ablations (wall time, this host)",
 		"Ablation", "Variant A", "Variant B", "Notes")
-	t.AddRow("rebuild fusion (Al-1000, 2 workers)",
-		fmt.Sprintf("fused %.3fs", res.FusedSec),
-		fmt.Sprintf("separate %.3fs", res.SeparateSec),
-		"paper fuses phases 3+4 (§II-A)")
 	t.AddRow("queue topology (salt, 4 workers)",
 		fmt.Sprintf("shared %.3fs (contended %d)", res.SharedQueueSec, res.SharedContended),
 		fmt.Sprintf("per-worker %.3fs (contended %d)", res.PerQueueSec, res.PerContended),
@@ -179,14 +121,6 @@ func Ablation(steps int) (*AblationResult, error) {
 		fmt.Sprintf("privatized %.3fs", res.PrivatizedSec),
 		fmt.Sprintf("shared+mutex %.3fs", res.MutexSec),
 		"privatized arrays + reduction (phase 5)")
-	t.AddRow("pair lists (Al-1000, 2 workers)",
-		fmt.Sprintf("half %.3fs", res.HalfSec),
-		fmt.Sprintf("full %.3fs", res.FullSec),
-		"full lists do ~2x the pair math but balance perfectly")
-	t.AddRow("integrator (Al-1000, serial)",
-		fmt.Sprintf("velocity-verlet %.3fs", res.VerletSec),
-		fmt.Sprintf("beeman %.3fs", res.BeemanSec),
-		"MW documents a Beeman-family predictor-corrector")
 	t.AddRow("half-list load shape (Al-1000 pairs)",
 		fmt.Sprintf("first third: %d", res.HalfFirstThird),
 		fmt.Sprintf("last third: %d", res.HalfLastThird),

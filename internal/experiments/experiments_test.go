@@ -261,14 +261,14 @@ func TestAblationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FusedSec <= 0 || r.SeparateSec <= 0 || r.PrivatizedSec <= 0 || r.MutexSec <= 0 {
+	if r.SharedQueueSec <= 0 || r.PerQueueSec <= 0 || r.PrivatizedSec <= 0 || r.MutexSec <= 0 {
 		t.Error("missing timings")
 	}
 	// The half-list shape is deterministic: front third owns more pairs.
 	if r.HalfFirstThird <= r.HalfLastThird {
 		t.Errorf("half-list shape wrong: %d vs %d", r.HalfFirstThird, r.HalfLastThird)
 	}
-	if !strings.Contains(r.Report, "rebuild fusion") {
+	if !strings.Contains(r.Report, "queue topology") {
 		t.Error("report incomplete")
 	}
 }

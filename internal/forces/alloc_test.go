@@ -22,12 +22,11 @@ func TestLJHotPathAllocationFree(t *testing.T) {
 	lj := forces.NewLJ(s.Elements, b.Cfg.LJCutoff)
 	g := cells.NewGrid(s.Box, rng)
 	g.Assign(s)
-	var half, full cells.RangeList
+	var half cells.RangeList
 	var cl cells.ClusterList
 	var cc cells.ClusterCoords
 	var scr forces.ClusterScratch
 	g.BuildRange(s, rng, 0, s.N(), &half)
-	g.BuildRangeFull(s, rng, 0, s.N(), &full)
 	g.BuildClusterRange(s, rng, 0, s.N(), &cl)
 	cc.Pack(s)
 	f := make([]vec.Vec3, s.N())
@@ -39,11 +38,9 @@ func TestLJHotPathAllocationFree(t *testing.T) {
 	cases := []allocCase{
 		{"AccumulateRangeList", func() { lj.AccumulateRangeList(s, &half, f) }},
 		{"AccumulateRangeListFast", func() { lj.AccumulateRangeListFast(s, &half, f) }},
-		{"AccumulateRangeListFull", func() { lj.AccumulateRangeListFull(s, &full, f) }},
 		{"AccumulateClusterList", func() { lj.AccumulateClusterList(s, &cl, f) }},
 		{"AccumulateClusterListFast", func() { lj.AccumulateClusterListFast(s, &cl, f) }},
 		{"Grid.BuildRange", func() { g.BuildRange(s, rng, 0, s.N(), &half) }},
-		{"Grid.BuildRangeFull", func() { g.BuildRangeFull(s, rng, 0, s.N(), &full) }},
 		{"Grid.BuildClusterRange", func() { g.BuildClusterRange(s, rng, 0, s.N(), &cl) }},
 		{"ClusterCoords.Pack", func() { cc.Pack(s) }},
 	}
@@ -58,11 +55,10 @@ func TestLJHotPathAllocationFree(t *testing.T) {
 	nrng := nc.Cfg.LJCutoff + nc.Cfg.Skin
 	ng := cells.NewGrid(ns.Box, nrng)
 	ng.Assign(ns)
-	var nhalf, nfull cells.RangeList
+	var nhalf cells.RangeList
 	var ncl cells.ClusterList
 	cases = append(cases,
 		allocCase{"nanocar/Grid.BuildRange", func() { ng.BuildRange(ns, nrng, 0, ns.N(), &nhalf) }},
-		allocCase{"nanocar/Grid.BuildRangeFull", func() { ng.BuildRangeFull(ns, nrng, 0, ns.N(), &nfull) }},
 		allocCase{"nanocar/Grid.BuildClusterRange", func() { ng.BuildClusterRange(ns, nrng, 0, ns.N(), &ncl) }},
 	)
 	for _, c := range cases {

@@ -298,58 +298,6 @@ func (lj *LJ) AccumulateRangeListFast(s *atom.System, rl *cells.RangeList, f []v
 	return pe
 }
 
-// AccumulateRangeListFull adds LJ forces from a FULL range list (built by
-// Grid.BuildRangeFull: every pair appears under both endpoints). Force is
-// added only to the owning atom i — no mirrored write — and each pair's
-// energy is halved so the total matches the half-list path. Because no
-// worker ever writes another worker's atoms, this path needs no privatized
-// arrays for the LJ term; the trade is ~2× the pair arithmetic.
-//
-//mw:hotpath
-func (lj *LJ) AccumulateRangeListFull(s *atom.System, rl *cells.RangeList, f []vec.Vec3) float64 {
-	var pe float64
-	c2 := lj.Cutoff * lj.Cutoff
-	box := s.Box
-	n := len(f)
-	pos, elem := s.Pos[:n], s.Elem[:n]
-	sig2 := lj.sigma2
-	m := len(sig2)
-	epsT, shiftT := lj.eps[:m], lj.shift[:m]
-	lo, hi := rl.Lo, rl.Hi
-	if lo < 0 || hi > n {
-		panic("forces: LJ range outside force array")
-	}
-	for i := lo; i < hi; i++ {
-		pi := pos[i]
-		ei := int(elem[i])
-		fi := f[i]
-		for _, j := range rl.Of(i) {
-			jj := int(j)
-			if uint(jj) >= uint(n) {
-				continue // corrupt neighbor entry; valid lists never hit this
-			}
-			d := box.MinImage(pos[jj].Sub(pi))
-			r2 := d.Norm2()
-			if r2 >= c2 || r2 == 0 {
-				continue
-			}
-			k := ei*lj.nelem + int(elem[jj])
-			if uint(k) >= uint(m) {
-				continue // element id outside the pair table
-			}
-			sr2 := sig2[k] / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			eps := epsT[k]
-			pe += 0.5 * (4*eps*(sr12-sr6) - shiftT[k])
-			fs := 24 * eps * (2*sr12 - sr6) / r2
-			fi = fi.AddScaled(-fs, d)
-		}
-		f[i] = fi
-	}
-	return pe
-}
-
 // PairEnergy returns the shifted LJ pair energy for elements a, b at squared
 // distance r2 (0 beyond the cutoff); used by tests and diagnostics.
 func (lj *LJ) PairEnergy(a, b int16, r2 float64) float64 {

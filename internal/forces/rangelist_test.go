@@ -36,52 +36,6 @@ func TestAccumulateRangeListMatchesGlobal(t *testing.T) {
 	}
 }
 
-func TestAccumulateRangeListFullMatchesHalf(t *testing.T) {
-	s := randomAtoms(32, 50, 13, 2.2)
-	lj := NewLJ(s.Elements, 6)
-	g := cells.NewGrid(s.Box, 6)
-	g.Assign(s)
-
-	half := make([]vec.Vec3, s.N())
-	var rlH cells.RangeList
-	g.BuildRange(s, 6, 0, s.N(), &rlH)
-	peHalf := lj.AccumulateRangeList(s, &rlH, half)
-
-	full := make([]vec.Vec3, s.N())
-	var rlF cells.RangeList
-	g.BuildRangeFull(s, 6, 0, s.N(), &rlF)
-	peFull := lj.AccumulateRangeListFull(s, &rlF, full)
-
-	if math.Abs(peHalf-peFull) > 1e-9*(1+math.Abs(peHalf)) {
-		t.Errorf("PE: half %v vs full %v", peHalf, peFull)
-	}
-	for i := range half {
-		if !full[i].ApproxEqual(half[i], 1e-9*(1+half[i].Norm())) {
-			t.Fatalf("force %d: half %v vs full %v", i, half[i], full[i])
-		}
-	}
-}
-
-func TestAccumulateRangeListFullRespectsExclusions(t *testing.T) {
-	s := atom.NewSystem(atom.CubicBox(20, false))
-	s.AddAtom(atom.C, vec.New(5, 5, 5), vec.Zero, 0, false)
-	s.AddAtom(atom.C, vec.New(6.5, 5, 5), vec.Zero, 0, false)
-	s.Bonds = []atom.Bond{{I: 0, J: 1, K: 10, R0: 1.5}}
-	s.BuildExclusions()
-	lj := NewLJ(s.Elements, 8)
-	g := cells.NewGrid(s.Box, 8)
-	g.Assign(s)
-	var rl cells.RangeList
-	g.BuildRangeFull(s, 8, 0, 2, &rl)
-	f := make([]vec.Vec3, 2)
-	if pe := lj.AccumulateRangeListFull(s, &rl, f); pe != 0 {
-		t.Errorf("excluded bonded pair contributed LJ energy %v", pe)
-	}
-	if f[0] != vec.Zero || f[1] != vec.Zero {
-		t.Error("excluded bonded pair contributed LJ force")
-	}
-}
-
 func TestAngleValue(t *testing.T) {
 	s := atom.NewSystem(atom.CubicBox(20, false))
 	s.AddAtom(atom.C, vec.New(6, 5, 5), vec.Zero, 0, false) // I

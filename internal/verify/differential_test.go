@@ -13,13 +13,13 @@ const testThreads = 4
 // TestCombosCoverMatrix guards the acceptance criterion: every executor
 // topology (serial, shared queue, per-worker queues, work stealing) must be
 // crossed with every reduction mode (privatized, shared mutex), and the
-// cell-ordered hot path (reorder + guided) must cover all four topologies
-// plus a full-list variant, and the cluster-pair rung must cover the serial
-// reference kernel plus layered reorder variants.
+// cell-ordered hot path (reorder + guided) must cover all four topologies,
+// and the cluster-pair rung must cover the serial reference kernel plus
+// layered reorder variants.
 func TestCombosCoverMatrix(t *testing.T) {
 	combos := Combos(testThreads)
-	if len(combos) != 17 {
-		t.Fatalf("got %d combos, want 17 (4 topologies × 2 reduce modes + 4 reorder + 1 reorder/full-lists + 3 cluster + 1 reorder/tracing)", len(combos))
+	if len(combos) != 16 {
+		t.Fatalf("got %d combos, want 16 (4 topologies × 2 reduce modes + 4 reorder + 3 cluster + 1 reorder/tracing)", len(combos))
 	}
 	seen := map[string]bool{}
 	for _, c := range combos {
@@ -38,9 +38,6 @@ func TestCombosCoverMatrix(t *testing.T) {
 		if !seen[topo+"/reorder+guided"] {
 			t.Errorf("matrix missing %s/reorder+guided", topo)
 		}
-	}
-	if !seen["shared-queue/reorder+guided+full-lists"] {
-		t.Error("matrix missing the reorder + full-lists variant")
 	}
 	if !seen["shared-queue/reorder+guided+tracing"] {
 		t.Error("matrix missing the reorder + tracing variant")

@@ -212,13 +212,12 @@ func BrutePairs(s *atom.System, rng float64) map[[2]int32]struct{} {
 }
 
 // CellPairs enumerates the pairs the linked-cell grid produces when the
-// engine builds per-chunk range lists of the given chunk size. With
-// full=true it uses the full-list builder and verifies that every pair
-// appears exactly twice (once per endpoint) before collapsing it.
-func CellPairs(s *atom.System, rng float64, chunk int, full bool) (map[[2]int32]struct{}, error) {
+// engine builds per-chunk half range lists of the given chunk size, checking
+// that every pair is stored exactly once, under its lower-indexed atom.
+func CellPairs(s *atom.System, rng float64, chunk int) (map[[2]int32]struct{}, error) {
 	grid := cells.NewGrid(s.Box, rng)
 	grid.Assign(s)
-	seen := make(map[[2]int32]int)
+	out := make(map[[2]int32]struct{})
 	n := s.N()
 	var rl cells.RangeList
 	for lo := 0; lo < n; lo += chunk {
@@ -226,32 +225,21 @@ func CellPairs(s *atom.System, rng float64, chunk int, full bool) (map[[2]int32]
 		if hi > n {
 			hi = n
 		}
-		if full {
-			grid.BuildRangeFull(s, rng, lo, hi, &rl)
-		} else {
-			grid.BuildRange(s, rng, lo, hi, &rl)
-		}
+		grid.BuildRange(s, rng, lo, hi, &rl)
 		for i := lo; i < hi; i++ {
 			a := rl.Offsets[i-lo]
 			b := rl.Offsets[i-lo+1]
 			for _, j := range rl.Neighbors[a:b] {
-				if !full && j <= int32(i) {
+				if j <= int32(i) {
 					return nil, fmt.Errorf("half list stores %d-%d with j ≤ i", i, j)
 				}
-				seen[pairKey(int32(i), j)]++
+				p := pairKey(int32(i), j)
+				if _, dup := out[p]; dup {
+					return nil, fmt.Errorf("pair %d-%d stored twice", p[0], p[1])
+				}
+				out[p] = struct{}{}
 			}
 		}
-	}
-	want := 1
-	if full {
-		want = 2
-	}
-	out := make(map[[2]int32]struct{}, len(seen))
-	for p, c := range seen {
-		if c != want {
-			return nil, fmt.Errorf("pair %d-%d stored %d times, want %d", p[0], p[1], c, want)
-		}
-		out[p] = struct{}{}
 	}
 	return out, nil
 }
@@ -260,23 +248,20 @@ func CellPairs(s *atom.System, rng float64, chunk int, full bool) (map[[2]int32]
 // brute-force pair set for s at the given interaction range: no interacting
 // pair within range may be missing (completeness), and no listed pair may be
 // out of range or non-interacting (validity: the sets must be identical).
-// Checked for both the half- and full-list builders.
 func CheckNeighborCompleteness(s *atom.System, rng float64, chunk int) error {
 	brute := BrutePairs(s, rng)
-	for _, full := range []bool{false, true} {
-		got, err := CellPairs(s, rng, chunk, full)
-		if err != nil {
-			return err
+	got, err := CellPairs(s, rng, chunk)
+	if err != nil {
+		return err
+	}
+	for p := range brute {
+		if _, ok := got[p]; !ok {
+			return fmt.Errorf("pair %d-%d within %g Å missing from cell list", p[0], p[1], rng)
 		}
-		for p := range brute {
-			if _, ok := got[p]; !ok {
-				return fmt.Errorf("full=%v: pair %d-%d within %g Å missing from cell list", full, p[0], p[1], rng)
-			}
-		}
-		for p := range got {
-			if _, ok := brute[p]; !ok {
-				return fmt.Errorf("full=%v: cell list pair %d-%d is outside range %g Å or does not interact", full, p[0], p[1], rng)
-			}
+	}
+	for p := range got {
+		if _, ok := brute[p]; !ok {
+			return fmt.Errorf("cell list pair %d-%d is outside range %g Å or does not interact", p[0], p[1], rng)
 		}
 	}
 	return nil

@@ -105,35 +105,3 @@ func TestReorderInverseRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestHalfVsFullListMetamorphic: half lists with mirrored Newton-3 writes and
-// full lists with owner-only writes must produce the same trajectory — the
-// same pair set traversed two different ways. This is the metamorphic
-// relation guarding the half-list kernels (including the exclusion-free
-// specializations, which Al-1000 and salt take automatically).
-func TestHalfVsFullListMetamorphic(t *testing.T) {
-	for _, w := range Workloads() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			base, err := w.Warm()
-			if err != nil {
-				t.Fatal(err)
-			}
-			half := Reference().Apply(w.Cfg)
-			ref, err := ReferenceTrajectory(base, half, w.Steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full := half
-			full.PairLists = core.FullLists
-			r, err := Differential(base, full, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Tol.Check(r.Worst); err != nil {
-				t.Errorf("full-list run deviates from half-list reference: %v (worst %s)", err, r.Worst)
-			}
-		})
-	}
-}

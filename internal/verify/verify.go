@@ -32,15 +32,14 @@ import (
 
 // Combo is one executor-topology × reduction-mode cell of the verification
 // matrix, optionally layered with the §V-A cell-ordered hot path (Morton
-// reorder + guided cell-block chunking), the pair-list mode, and the
-// structured tracer (proving observation changes no physics).
+// reorder + guided cell-block chunking), the cluster-pair list format, and
+// the structured tracer (proving observation changes no physics).
 type Combo struct {
 	Name      string
 	Threads   int
 	Queues    core.QueueTopology
 	Reduce    core.ReduceMode
 	Partition core.Partition
-	PairLists core.PairListMode
 	Reorder   bool
 	Cluster   bool
 	Tracing   bool
@@ -52,7 +51,6 @@ func (c Combo) Apply(cfg core.Config) core.Config {
 	cfg.Queues = c.Queues
 	cfg.Reduce = c.Reduce
 	cfg.Partition = c.Partition
-	cfg.PairLists = c.PairLists
 	cfg.Reorder = c.Reorder
 	cfg.Cluster = c.Cluster
 	if c.Tracing {
@@ -73,8 +71,7 @@ func (c Combo) Apply(cfg core.Config) core.Config {
 // Combos enumerates the full verification matrix for the given parallel
 // worker count: the serial topology and all three queue topologies, each
 // under both reduction modes; then the cell-ordered hot path (Morton reorder
-// + guided partition) across all four topologies, including one full-list
-// variant. The first entry (serial + privatized) is the reference
+// + guided partition) across all four topologies. The first entry (serial + privatized) is the reference
 // configuration the rest are compared against.
 func Combos(threads int) []Combo {
 	if threads < 2 {
@@ -116,13 +113,6 @@ func Combos(threads int) []Combo {
 			Reorder:   true,
 		})
 	}
-	out = append(out, Combo{
-		Name:      "shared-queue/reorder+guided+full-lists",
-		Threads:   threads,
-		Partition: core.PartitionGuided,
-		PairLists: core.FullLists,
-		Reorder:   true,
-	})
 	// Cluster-pair rungs: the reference cluster kernel serially (bitwise
 	// path), then layered with reorder+guided so the engine auto-picks the
 	// fast variant — or, on capable amd64 with a non-periodic box, the
