@@ -4,7 +4,7 @@ GO ?= go
 # again under the race detector in `make verify`.
 RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve ./internal/perfmon
 
-.PHONY: build test test-386 vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean benchmark benchmark-aa
+.PHONY: build test test-386 vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-obs-smoke verify clean benchmark benchmark-aa
 
 build:
 	$(GO) build ./...
@@ -87,33 +87,28 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzCreateModel -fuzztime=30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz=FuzzClusterList -fuzztime=30s ./internal/cells
 
-# Service smoke: boot a real mwserved daemon, drive it with a short mwload
-# sweep (including an oversubscription burst), and fail unless mwload's
-# JSON report validates. CI uploads mwload.smoke.json.
-serve-smoke:
-	$(GO) build -o mwserved.smoke ./cmd/mwserved
-	./mwserved.smoke -addr 127.0.0.1:7977 -queue-depth 64 & pid=$$!; \
-	$(GO) run ./cmd/mwload -addr http://127.0.0.1:7977 -wait 15s \
-		-workload lj-gas -sessions 32 -steps 2 -nruns 2 \
-		-concurrency 4,16 -retries 8 -oversub 64 -json > mwload.smoke.json; \
-	status=$$?; kill $$pid 2>/dev/null; rm -f mwserved.smoke; \
-	exit $$status
-
 # Serving-observability smoke: boot mwserved with every request traced,
-# drive a short attributed mwload sweep (fails unless the report validates
-# and the components decompose p99), pull the request-trace artifact
-# through `mwtrace serve` (which structurally validates the span trees),
-# and snapshot the SLO error-budget view. CI uploads mwload.obs.json and
-# serve.trace.json.
+# drive it with curl (create 4 lj-gas sessions, step each 3 times; any
+# non-2xx fails the target), pull the request-trace artifact through
+# `mwtrace serve` (which structurally validates the span trees), and
+# snapshot the SLO error-budget view. CI uploads serve.trace.json.
 serve-obs-smoke:
 	$(GO) build -o mwserved.obs ./cmd/mwserved
 	./mwserved.obs -addr 127.0.0.1:7978 -trace-sample 1 -slo-target 250ms & pid=$$!; \
-	$(GO) run ./cmd/mwload -addr http://127.0.0.1:7978 -wait 15s \
-		-workload Al-1000 -sessions 24 -steps 1 -nruns 2 \
-		-concurrency 4,8 -retries 8 -attr -json > mwload.obs.json; \
+	base=http://127.0.0.1:7978; \
+	curl -fsS --retry 30 --retry-connrefused -o /dev/null $$base/healthz; \
 	status=$$?; \
+	for i in 1 2 3 4; do \
+		[ $$status -eq 0 ] || break; \
+		id=$$(curl -fsS -X POST "$$base/v1/sessions?workload=lj-gas&n=3" | \
+			sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p'); \
+		[ -n "$$id" ] || { status=1; break; }; \
+		for r in 1 2 3; do \
+			curl -fsS -o /dev/null -X POST "$$base/v1/sessions/$$id/step?n=2" || { status=1; break; }; \
+		done; \
+	done; \
 	if [ $$status -eq 0 ]; then \
-		$(GO) run ./cmd/mwtrace serve -addr http://127.0.0.1:7978 -o serve.trace.json; \
+		$(GO) run ./cmd/mwtrace serve -addr $$base -o serve.trace.json; \
 		status=$$?; \
 	fi; \
 	if [ $$status -eq 0 ]; then \
@@ -134,7 +129,7 @@ benchmark-aa:
 	$(GO) run ./benchmark -aa
 
 # The full correctness gate — what CI runs. See README.md §Verification.
-verify: lint build test test-386 race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke
+verify: lint build test test-386 race race-bench telemetry-overhead trace-smoke serve-obs-smoke
 
 clean:
 	$(GO) clean ./...

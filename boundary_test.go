@@ -20,7 +20,7 @@ var (
 		"internal/workload", "internal/xyz",
 	}
 	productCmds = []string{
-		"cmd/mwsim", "cmd/mwserved", "cmd/mwload", "cmd/mwtop", "cmd/mwtrace",
+		"cmd/mwsim", "cmd/mwserved", "cmd/mwtop", "cmd/mwtrace",
 		"cmd/mwverify",
 	}
 	labPkgs = []string{

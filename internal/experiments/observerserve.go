@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mw/internal/report"
@@ -12,7 +17,7 @@ import (
 )
 
 // ObserverServeResult is the §IV-A observer-effect methodology applied to
-// the serving layer's request tracing: the same in-process load sweep with
+// the serving layer's request tracing: the same in-process closed loop with
 // tracing off, with the production 1-in-64 sampling mwserved ships with,
 // and with every request traced (TraceSample=1). "Overhead" is the paired
 // increase in mean request service time. The gate holds the production
@@ -60,8 +65,9 @@ const (
 )
 
 // runObserverServe boots one in-process server with the given trace
-// sampling, runs a single-level sweep, and returns the mean request
-// service time plus the request count.
+// sampling, creates sessions Al-1000 tenants over HTTP, runs stepLoop and
+// returns its mean request time plus the request count. Closing the server
+// closes the sessions.
 func runObserverServe(traceSample, sessions, conc, nruns int) (time.Duration, int64, error) {
 	srv := serve.NewServer(serve.Config{
 		MaxSessions: sessions + 8,
@@ -74,31 +80,102 @@ func runObserverServe(traceSample, sessions, conc, nruns int) (time.Duration, in
 		return 0, 0, err
 	}
 	defer httpSrv.Close()
+	base := "http://" + addr
+	ids, err := createSessions(base, sessions)
+	if err != nil {
+		return 0, 0, err
+	}
 	// Same discipline as runObserverNative: collect, then hold GC off for
-	// the timed region. The sweep's HTTP+JSON traffic allocates enough that
+	// the timed region. The loop's HTTP+JSON traffic allocates enough that
 	// whether the pacer fires a cycle inside a run is a whole-run several-%
 	// artifact on a single-core host — noise that swamps the ~0.1% true
 	// cost of 1-in-64 tracing. The tracing path's own allocations (trace
 	// records, exemplars, ring entries) are still fully timed.
 	runtime.GC()
 	gcPct := debug.SetGCPercent(-1)
-	rep, err := serve.RunSweep("http://"+addr, serve.SweepOptions{
-		Workload:    workload.Al1000().Name,
-		Sessions:    sessions,
-		StepsPerReq: 1,
-		NRuns:       nruns,
-		Concurrency: []int{conc},
-		Retries:     16,
-	})
-	debug.SetGCPercent(gcPct)
+	defer debug.SetGCPercent(gcPct)
+	return stepLoop(base, ids, conc, nruns)
+}
+
+// serveClient's timeout makes a wedged server fail the trial, not hang it.
+var serveClient = &http.Client{Timeout: time.Minute}
+
+func post(url string) (int, []byte, error) {
+	resp, err := serveClient.Post(url, "", nil)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	row := rep.Rows[0]
-	if row.ReqPerSec <= 0 {
-		return 0, 0, fmt.Errorf("sweep reported %f req/s", row.ReqPerSec)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+func createSessions(base string, n int) ([]string, error) {
+	ids := make([]string, n)
+	for i := range ids {
+		var created struct{ ID string }
+		code, body, err := post(base + "/v1/sessions?workload=" + workload.Al1000().Name)
+		if err == nil && code != http.StatusCreated {
+			err = fmt.Errorf("create: status %d: %s", code, body)
+		} else if err == nil {
+			err = json.Unmarshal(body, &created)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ids[i] = created.ID
 	}
-	return time.Duration(1e9 / row.ReqPerSec), row.Requests, nil
+	return ids, nil
+}
+
+// stepOnce POSTs one step request, retrying a 429 up to 16 times with a
+// 10 ms·attempt backoff; any other non-200 is an error.
+func stepOnce(url string) error {
+	for attempt := 1; ; attempt++ {
+		code, body, err := post(url)
+		switch {
+		case err != nil:
+			return err
+		case code == http.StatusOK:
+			return nil
+		case code != http.StatusTooManyRequests || attempt > 16:
+			return fmt.Errorf("step: status %d: %s", code, body)
+		}
+		time.Sleep(time.Duration(10*attempt) * time.Millisecond)
+	}
+}
+
+// stepLoop is the gate's closed loop: conc clients pull (session, round)
+// indices from one counter and step that session once, until every session
+// has been stepped nruns times. Only this phase is timed; create and close
+// stay outside the wall. A failed step aborts the trial, so it never reads
+// as a fast request. It returns wall/requests and the request count.
+func stepLoop(base string, ids []string, conc, nruns int) (time.Duration, int64, error) {
+	total := int64(len(ids) * nruns)
+	var next, served atomic.Int64
+	errc := make(chan error, conc)
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < total; i = next.Add(1) - 1 {
+				if err := stepOnce(base + "/v1/sessions/" + ids[i%int64(len(ids))] + "/step?n=1"); err != nil {
+					errc <- err
+					next.Store(total) // the other clients stop pulling
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	wall, n := time.Since(t0), served.Load()
+	if len(errc) > 0 {
+		return 0, 0, <-errc
+	}
+	return wall / time.Duration(max(n, 1)), n, nil // Gate rejects n == 0
 }
 
 // ObserverServe measures the serving layer's request-tracing observer

@@ -26,7 +26,7 @@ const (
 )
 
 // attrNames indexes the component constants; these strings are the public
-// schema (telemetry.json attribution section, mwload columns, docs).
+// schema (telemetry.json attribution section, docs).
 var attrNames = [attrComponents]string{
 	"queue_wait", "batch_wait", "compute", "straggler_share", "serialize",
 }

@@ -35,8 +35,9 @@ type stepReq struct {
 // stepResult is what a completed (or failed) step request reports back.
 // The attribution fields decompose WallMicros: wall ≈ queue_wait +
 // batch_wait + compute plus the serialize/network time the client alone
-// can see — which is how mwload -attr reconciles the split against its
-// own end-to-end measurement.
+// can see — which is how the benchmark's serve workloads (serve.queue_wait,
+// serve.batch_wait, serve.compute) split a request against their own
+// end-to-end measurement.
 type stepResult struct {
 	Step        int     `json:"step"`
 	PE          float64 `json:"pe"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,6 +271,64 @@ func TestEnqueueSheds(t *testing.T) {
 	hErr.write(rec)
 	if got := rec.Header().Get("Retry-After"); got != retryAfter {
 		t.Errorf("Retry-After = %q, want %q", got, retryAfter)
+	}
+}
+
+// TestBurstSheds429 is admission control over real HTTP: with queue depth
+// 1 and two-request batches, a no-retry burst of 24 one-shot 50-step
+// requests (each batch holds the pool for milliseconds) must find the
+// queue full. Every shed response must carry the Retry-After hint, no
+// request may fail any other way, and the server must still answer
+// /healthz right after — it degrades by refusing work, not by collapsing.
+func TestBurstSheds429(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxBatch: 2})
+	ids := make([]string, 4)
+	for i := range ids {
+		ids[i] = createTestSession(t, ts)
+	}
+	type reply struct {
+		code       int
+		retryAfter string
+		err        error
+	}
+	const burst = 24
+	replies := make(chan reply, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+id+"/step?n=50", "", nil)
+			if err != nil {
+				replies <- reply{err: err}
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			replies <- reply{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+		}(ids[i%len(ids)])
+	}
+	wg.Wait()
+	close(replies)
+	shed := 0
+	for r := range replies {
+		switch {
+		case r.err != nil:
+			t.Errorf("burst request: %v", r.err)
+		case r.code == http.StatusTooManyRequests:
+			shed++
+			if r.retryAfter != retryAfter {
+				t.Errorf("shed response Retry-After = %q, want %q", r.retryAfter, retryAfter)
+			}
+		case r.code != http.StatusOK:
+			t.Errorf("burst request: status %d, want 200 or 429", r.code)
+		}
+	}
+	if shed == 0 {
+		t.Errorf("no request of a %d-request burst shed at queue depth 1", burst)
+	}
+	if code, body := doReq(t, ts.Client(), http.MethodGet, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("/healthz after the burst: status %d (%s)", code, body)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // accepts an inbound `traceparent` header (so an upstream caller can stitch
 // mwserved spans into its own trace), generates a fresh context for a
 // sampled share of unheaded requests, and answers every traced request with
-// a `traceparent` response header so clients (mwload) learn the id they can
-// look up in /v1/trace.
+// a `traceparent` response header so clients learn the id they can look up
+// in /v1/trace.
 type TraceContext struct {
 	TraceID [16]byte
 	SpanID  [8]byte
