@@ -75,8 +75,9 @@ trace-smoke:
 	$(GO) run ./cmd/mwtrace record -bench Al-1000 -threads 4 -steps 120 -o mw.trace.json
 	$(GO) run ./cmd/mwtrace export -in mw.trace.json
 
-# Short fuzz smoke of the parsers (seed corpus always runs under plain
-# `go test`; this adds a minute of coverage-guided exploration).
+# Short fuzz smoke of the parsers, the cluster-list builder and the Coulomb
+# kernel's bitwise oracle (seed corpus always runs under plain `go test`;
+# this adds a few minutes of coverage-guided exploration).
 fuzz:
 	$(GO) test -fuzz=FuzzLoadSystem -fuzztime=30s ./internal/mml
 	$(GO) test -fuzz=FuzzReadFrames -fuzztime=30s ./internal/xyz
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzStepParams -fuzztime=30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz=FuzzCreateModel -fuzztime=30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz=FuzzClusterList -fuzztime=30s ./internal/cells
+	$(GO) test -run '^$$' -fuzz=FuzzCoulombBitwise -fuzztime=30s ./internal/forces
 
 # Serving-observability smoke: boot mwserved with every request traced,
 # drive it with curl (create 4 lj-gas sessions, step each 3 times; any

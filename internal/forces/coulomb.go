@@ -27,28 +27,45 @@ type Coulomb struct {
 func (c Coulomb) AccumulateRange(s *atom.System, charged []int32, lo, hi int, f []vec.Vec3) float64 {
 	var pe float64
 	soft2 := c.Softening * c.Softening
-	box := s.Box
+	periodic := s.Box.Periodic
+	lx, ly, lz := s.Box.L.X, s.Box.L.Y, s.Box.L.Z
+	n := len(f)
+	pos, q := s.Pos[:n], s.Charge[:n]
 	for ci := lo; ci < hi; ci++ {
 		i := charged[ci]
-		pi := s.Pos[i]
-		qi := s.Charge[i]
-		fi := f[i]
-		for cj := ci + 1; cj < len(charged); cj++ {
-			j := charged[cj]
-			d := box.MinImage(s.Pos[j].Sub(pi))
-			r2 := d.Norm2() + soft2
+		pi := pos[i]
+		kqi := units.CoulombK * q[i] // K*qi*qj rounds left to right: exact
+		fix, fiy, fiz := f[i].X, f[i].Y, f[i].Z
+		for _, cj := range charged[ci+1:] {
+			// One guard on the widened index clears pos[j], q[j] and f[j].
+			j := int(cj)
+			if uint(j) >= uint(n) {
+				continue
+			}
+			pj := pos[j]
+			dx, dy, dz := pj.X-pi.X, pj.Y-pi.Y, pj.Z-pi.Z
+			if periodic {
+				dx -= lx * math.Round(dx/lx)
+				dy -= ly * math.Round(dy/ly)
+				dz -= lz * math.Round(dz/lz)
+			}
+			r2 := dx*dx + dy*dy + dz*dz + soft2
 			if r2 == 0 {
 				continue
 			}
 			r := math.Sqrt(r2)
-			e := units.CoulombK * qi * s.Charge[j] / r
+			e := kqi * q[j] / r
 			pe += e
 			// F = k q1 q2 / r² along the pair axis; repulsive for like signs.
 			fs := e / r2
-			fi = fi.AddScaled(-fs, d)
-			f[j] = f[j].AddScaled(fs, d)
+			fix += -fs * dx
+			fiy += -fs * dy
+			fiz += -fs * dz
+			f[j].X += fs * dx
+			f[j].Y += fs * dy
+			f[j].Z += fs * dz
 		}
-		f[i] = fi
+		f[i] = vec.Vec3{X: fix, Y: fiy, Z: fiz}
 	}
 	return pe
 }

@@ -306,11 +306,42 @@ func TestCoulombSoftening(t *testing.T) {
 	s := atom.NewSystem(atom.CubicBox(10, false))
 	s.AddAtom(atom.Na, vec.New(5, 5, 5), vec.Zero, 1, false)
 	s.AddAtom(atom.Na, vec.New(5, 5, 5), vec.Zero, 1, false) // coincident
-	c := Coulomb{Softening: 0.1}
+	const soft = 0.1
+	c := Coulomb{Softening: soft}
 	f := make([]vec.Vec3, 2)
 	pe := c.Accumulate(s, s.ChargedIndices(), f)
-	if math.IsInf(pe, 0) || math.IsNaN(pe) {
-		t.Error("softened Coulomb produced non-finite energy")
+	// Coincident ions sit at r = softening with no pair axis: the energy is
+	// finite, K·q²/softening, and the force vanishes.
+	wantPE := units.CoulombK / soft
+	if math.Abs(pe-wantPE) > 1e-12*wantPE {
+		t.Errorf("PE = %v, want %v", pe, wantPE)
+	}
+	if f[0] != vec.Zero || f[1] != vec.Zero {
+		t.Errorf("forces = %v, want zero", f)
+	}
+}
+
+func TestCoulombTwoIonPeriodicMinimumImage(t *testing.T) {
+	// 8.5 Å apart inside a 10 Å periodic box: the interacting image of the
+	// Cl⁻ is 1.5 Å to the Na⁺'s -x side, not 8.5 Å to its +x side.
+	s := atom.NewSystem(atom.CubicBox(10, true))
+	s.AddAtom(atom.Na, vec.New(0.5, 5, 5), vec.Zero, +1, false)
+	s.AddAtom(atom.Cl, vec.New(9, 5, 5), vec.Zero, -1, false)
+	var c Coulomb
+	f := make([]vec.Vec3, 2)
+	pe := c.Accumulate(s, s.ChargedIndices(), f)
+	r := 1.5
+	wantPE := -units.CoulombK / r
+	if math.Abs(pe-wantPE) > 1e-12 {
+		t.Errorf("PE = %v, want %v", pe, wantPE)
+	}
+	wantF := units.CoulombK / (r * r)
+	// Opposite charges attract across the boundary: Na⁺ pulled toward -x.
+	if math.Abs(f[0].X+wantF) > 1e-12 || math.Abs(f[1].X-wantF) > 1e-12 {
+		t.Errorf("forces = %v, want ∓%v along x", f, wantF)
+	}
+	if f[0].Y != 0 || f[0].Z != 0 || f[1].Y != 0 || f[1].Z != 0 {
+		t.Errorf("off-axis force = %v", f)
 	}
 }
 

@@ -160,6 +160,11 @@ func (s *Server) runBatch(batch []*stepReq) {
 		rq.dequeueUS = dequeueUS
 	}
 	s.rec.PhaseBegin(seq, svcStep)
+	// Count the batch before the fan-out: each task replies on rq.done
+	// before the latch opens, and a client that reads /v1/stats after its
+	// reply must see its own batch counted.
+	s.batches.Add(1)
+	s.batchedReqs.Add(int64(size))
 	latch := pool.NewLatch(size)
 	for i, rq := range batch {
 		rq := rq
@@ -181,8 +186,6 @@ func (s *Server) runBatch(batch []*stepReq) {
 	}
 	latch.Await()
 	s.rec.PhaseEnd(seq, svcStep, time.Since(t0), nil)
-	s.batches.Add(1)
-	s.batchedReqs.Add(int64(size))
 
 	// Barrier accounting, after the latch: how long each request's tenant
 	// kept the batch closed past its own compute (the straggler share),
